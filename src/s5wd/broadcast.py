@@ -23,9 +23,9 @@ from .kripke import (
     Frame,
     Model,
     connected_components,
-    find_isomorphism,
+    frame_from_labels,
 )
-from .systems import GlobalStateSystem, f_map, is_full, is_hypercube, system_from_states
+from .systems import GlobalStateSystem, is_full, is_hypercube, system_from_states
 
 EPSILON = "eps"
 
@@ -434,15 +434,7 @@ def generate_frame(
         if len(worlds) > max_worlds:
             raise BudgetError(f"more than {max_worlds} traces reached")
         level = nxt
-    relations = []
-    for i in range(1, e.n + 1):
-        groups: dict = {}
-        for tr in worlds:
-            groups.setdefault(perfect_recall_state(tr, i), []).append(tr)
-        relations.append(
-            {(a, b) for block in groups.values() for a in block for b in block}
-        )
-    return Frame(e.n, worlds, relations)
+    return frame_from_labels(e.n, worlds, lambda i, tr: perfect_recall_state(tr, i))
 
 
 def join(r1, r2, i: int) -> tuple:
@@ -489,10 +481,30 @@ class DecompositionReport:
         return self.ok
 
 
+def _recall_map_is_isomorphism(fr: Frame, members: tuple, coords: dict) -> bool:
+    """True iff tr -> coords[tr] is an isomorphism from the component onto
+    the F image of its coordinate tuples: the tuples are distinct, and agent
+    i relates two members exactly when their i-th coordinates agree."""
+    width = len(coords[members[0]])
+    if fr.n != width - 1:
+        raise ValueError(f"agent counts differ: {fr.n} vs {width - 1}")
+    if len(set(coords.values())) != len(members):
+        return False
+    for i in fr.agents:
+        sharing: dict = {}
+        for tr in members:
+            sharing.setdefault(coords[tr][i], set()).add(tr)
+        if any(fr.succ(i, tr) != sharing[coords[tr][i]] for tr in members):
+            return False
+    return True
+
+
 def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> DecompositionReport:
     """Check that every connected component of a generated trace frame is the
     F image of a product of per-agent recall-state axes.
 
+    The isomorphism checked is the recall map, which sends each trace to its
+    tuple of perfect-recall states (agent 0 first); no other map is tried.
     mode "hypercube" requires the component to realize the full product of
     all axes including agent 0's (the homogeneous case); mode "full" only
     requires every combination of agents' axes to have some agent-0
@@ -501,7 +513,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
     if mode not in ("hypercube", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     reports = []
-    for piece, members in connected_components(fr):
+    for _, members in connected_components(fr):
         shared = action_sequence(members[0])
         mismatch = next(
             (tr for tr in members if action_sequence(tr) != shared), None
@@ -532,20 +544,20 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
                                 "missing-tuple", (missing,))
             )
             continue
-        system = system_from_states(width - 1, list(coords.values()))
-        if mode == "full" and not is_full(system):
-            hole = next(
-                combo
-                for combo in itertools.product(*system.local_alphabets)
-                if not any(state[1:] == combo for state in system.states)
-            )
-            reports.append(
-                ComponentReport(members, shared, axis_sizes, False,
-                                "not-full", (hole,))
-            )
-            continue
-        wm = find_isomorphism(piece, f_map(system), max_worlds=len(members))
-        if wm is None:
+        if mode == "full":
+            system = system_from_states(width - 1, list(coords.values()))
+            if not is_full(system):
+                hole = next(
+                    combo
+                    for combo in itertools.product(*system.local_alphabets)
+                    if not any(state[1:] == combo for state in system.states)
+                )
+                reports.append(
+                    ComponentReport(members, shared, axis_sizes, False,
+                                    "not-full", (hole,))
+                )
+                continue
+        if not _recall_map_is_isomorphism(fr, members, coords):
             reports.append(
                 ComponentReport(members, shared, axis_sizes, False,
                                 "not-isomorphic", ())

@@ -474,3 +474,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

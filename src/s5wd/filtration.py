@@ -21,12 +21,12 @@ from .formula import (
     subformula_closure,
 )
 from .kripke import (
-    Frame,
     Model,
     MorphismReport,
     WorldMap,
     check_equivalence,
     extension,
+    frame_from_labels,
     frame_of,
 )
 
@@ -87,15 +87,11 @@ def filtrate(m: Model, f: Formula) -> Filtration:
             rep_of[w] = block[0]
     reps = [block[0] for block in classes]
 
-    relations = []
-    for i in fr.agents:
-        sigs = {r: _modal_signature(closure, truths, i, r) for r in reps}
-        relations.append(
-            {(a, b) for a in reps for b in reps if sigs[a] == sigs[b]}
-        )
     keep = set(atoms(f))
     quotient = Model(
-        Frame(fr.n, reps, relations),
+        frame_from_labels(
+            fr.n, reps, lambda i, r: _modal_signature(closure, truths, i, r)
+        ),
         {r: tuple(a for a in m.atoms_at(r) if a in keep) for r in reps},
     )
     fil = Filtration(

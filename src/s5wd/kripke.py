@@ -8,6 +8,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -432,23 +433,21 @@ def equivalence_classes(fr: Frame, i: int) -> tuple:
     fr._check_agent(i)
     if not _relation_is_equivalence(fr, i):
         raise ValueError(f"relation {i} is not an equivalence relation")
-    seen = set()
-    out = []
-    for w in fr.worlds:
-        if w in seen:
-            continue
-        members = tuple(v for v in fr.worlds if v in fr.succ(i, w))
-        seen.update(members)
-        out.append(members)
-    return tuple(out)
+    return _group_by(fr.worlds, fr._succ[i - 1].__getitem__)
+
+
+def _group_by(worlds, key) -> tuple:
+    """Worlds grouped by key(w), groups ordered by first world, each in world order."""
+    groups: dict = {}
+    for w in worlds:
+        groups.setdefault(key(w), []).append(w)
+    return tuple(tuple(g) for g in groups.values())
 
 
 def _restrict(x: Union[Frame, Model], members: tuple) -> Union[Frame, Model]:
+    # members is a connected component, so it holds every successor of its worlds
     fr = frame_of(x)
-    keep = set(members)
-    rels = [
-        {(w, u) for (w, u) in rel if w in keep and u in keep} for rel in fr.relations
-    ]
+    rels = [[(w, u) for w in members for u in table[w]] for table in fr._succ]
     piece = Frame(fr.n, members, rels)
     if isinstance(x, Frame):
         return piece
@@ -474,15 +473,15 @@ def connected_components(x: Union[Frame, Model]) -> list:
             continue
         stack = [w]
         seen.add(w)
-        members = {w}
+        members = [w]
         while stack:
             v = stack.pop()
             for u in adjacency[v]:
                 if u not in seen:
                     seen.add(u)
-                    members.add(u)
+                    members.append(u)
                     stack.append(u)
-        ordered = tuple(v for v in fr.worlds if v in members)
+        ordered = tuple(sorted(members, key=fr._index.__getitem__))
         out.append((_restrict(x, ordered), ordered))
     return out
 
@@ -705,21 +704,33 @@ def frame_to_json(fr: Frame) -> dict:
     }
 
 
-def _pairs_from_blocks(worlds, blocks):
-    seen = set()
-    pairs = set()
-    for block in blocks:
+def frame_from_labels(n: int, worlds: Iterable, label) -> Frame:
+    """Equivalence frame in which agent i relates two worlds iff their
+    labels label(i, w) are equal."""
+    worlds = tuple(worlds)
+    rels = []
+    for i in range(1, n + 1):
+        blocks = _group_by(worlds, functools.partial(label, i))
+        rels.append([(w, u) for block in blocks for w in block for u in block])
+    return Frame(n, worlds, rels)
+
+
+def _block_labels(worlds: tuple, blocks) -> dict:
+    """Block index of each world; blocks must partition worlds exactly."""
+    label = {}
+    for k, block in enumerate(blocks):
         for w in block:
-            if w in seen:
+            if w in label:
                 raise ValueError(f"world {w!r} appears in two partition blocks")
-            seen.add(w)
-        for w in block:
-            for u in block:
-                pairs.add((w, u))
+            label[w] = k
     for w in worlds:
-        if w not in seen:
+        if w not in label:
             raise ValueError(f"world {w!r} is missing from the partition")
-    return pairs
+    known = set(worlds)
+    for w in label:
+        if w not in known:
+            raise ValueError(f"partition block names an unknown world {w!r}")
+    return label
 
 
 def frame_from_json(data: Mapping) -> Frame:
@@ -730,13 +741,13 @@ def frame_from_json(data: Mapping) -> Frame:
         raise ValueError("give either 'relations' or 'partitions', not both")
     if "partitions" in data:
         parts = data["partitions"]
-        rels = {}
+        partitions = []
         for i in range(1, n + 1):
             blocks = parts.get(str(i), parts.get(i))
             if blocks is None:
                 raise ValueError(f"missing partition for agent {i}")
-            rels[i] = _pairs_from_blocks(worlds, blocks)
-        return Frame(n, worlds, rels)
+            partitions.append(blocks)
+        return frame_from_partitions(n, worlds, partitions)
     if "relations" not in data:
         raise ValueError("frame JSON needs 'relations' or 'partitions'")
     rels = data["relations"]
@@ -753,7 +764,8 @@ def frame_from_partitions(n: int, worlds: Iterable, partitions) -> Frame:
     partitions = list(partitions)
     if len(partitions) != n:
         raise ValueError(f"expected {n} partitions, got {len(partitions)}")
-    return Frame(n, worlds, [_pairs_from_blocks(worlds, blocks) for blocks in partitions])
+    labels = [_block_labels(worlds, blocks) for blocks in partitions]
+    return frame_from_labels(n, worlds, lambda i, w: labels[i - 1][w])
 
 
 def model_to_json(m: Model) -> dict:

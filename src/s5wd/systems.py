@@ -20,10 +20,9 @@ from .kripke import (
     check_equivalence,
     check_i,
     equivalence_classes,
+    frame_from_labels,
     world_key,
 )
-
-_ATOM_RE = None  # atom validation is delegated to Model construction
 
 
 @dataclass(frozen=True)
@@ -121,18 +120,7 @@ class InterpretedSystem:
 
 def f_map(s: GlobalStateSystem) -> Frame:
     """Frame on the states: s ~_i t iff the agent-i components agree."""
-    rels = []
-    for i in s.agents:
-        blocks: dict = {}
-        for state in s.states:
-            blocks.setdefault(state[i], []).append(state)
-        pairs = set()
-        for members in blocks.values():
-            for w in members:
-                for u in members:
-                    pairs.add((w, u))
-        rels.append(pairs)
-    return Frame(s.n, s.states, rels)
+    return frame_from_labels(s.n, s.states, lambda i, state: state[i])
 
 
 def f_map_interpreted(isys: InterpretedSystem) -> Model:

@@ -16,9 +16,11 @@ from typing import Optional
 from .kripke import (
     Frame,
     WorldMap,
+    _group_by,
     check_equivalence,
     check_wd,
     equivalence_classes,
+    frame_from_labels,
 )
 
 
@@ -40,15 +42,7 @@ def cluster_decomposition(fr: Frame) -> ClusterDecomposition:
     """Clusters of fr, ordered by first world; I frames give singletons."""
     if not check_equivalence(fr):
         raise ValueError("frame is not an equivalence frame")
-    seen: set = set()
-    out = []
-    for w in fr.worlds:
-        if w in seen:
-            continue
-        members = tuple(v for v in fr.worlds if v in fr.isucc(w))
-        seen.update(members)
-        out.append(members)
-    return ClusterDecomposition(fr, tuple(out))
+    return ClusterDecomposition(fr, _group_by(fr.worlds, fr.isucc))
 
 
 def coordinate_surjection(k: int, m: int, x_size: int) -> dict:
@@ -111,18 +105,9 @@ def unpack_to_edi(fr: Frame, x_size: Optional[int] = None) -> tuple:
     coords = list(itertools.product(range(x_size), repeat=n))
     worlds = [(c, x) for c in clusters for x in coords]
 
-    rels = []
-    for i in range(1, n + 1):
-        blocks: dict = {}
-        for c, x in worlds:
-            blocks.setdefault((class_of[i - 1][c], x[i - 1]), []).append((c, x))
-        pairs = set()
-        for members in blocks.values():
-            for w in members:
-                for u in members:
-                    pairs.add((w, u))
-        rels.append(pairs)
-    unpacked = Frame(n, worlds, rels)
+    unpacked = frame_from_labels(
+        n, worlds, lambda i, w: (class_of[i - 1][w[0]], w[1][i - 1])
+    )
 
     mapping = {}
     tables = {len(c): coordinate_surjection(len(c), n, x_size) for c in clusters}

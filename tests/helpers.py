@@ -194,3 +194,80 @@ def assert_isomorphism(wm: WorldMap) -> None:
     if isinstance(wm.source, Model):
         for w in src.worlds:
             assert wm.source.atoms_at(w) == wm.target.atoms_at(wm(w))
+
+
+# Brute-force definitions kept as oracles for the grouped fast paths.
+
+
+def pairs_from_blocks(worlds, blocks) -> set:
+    """Every pair inside a block; blocks must partition worlds."""
+    seen = set()
+    pairs = set()
+    for block in blocks:
+        for w in block:
+            if w in seen:
+                raise ValueError(f"world {w!r} appears in two partition blocks")
+            seen.add(w)
+        for w in block:
+            for u in block:
+                pairs.add((w, u))
+    for w in worlds:
+        if w not in seen:
+            raise ValueError(f"world {w!r} is missing from the partition")
+    return pairs
+
+
+def f_map_by_definition(s: GlobalStateSystem) -> Frame:
+    """F image by comparing every pair of states."""
+    return Frame(
+        s.n,
+        s.states,
+        [{(a, b) for a in s.states for b in s.states if a[i] == b[i]} for i in s.agents],
+    )
+
+
+def classes_by_scan(worlds, related) -> tuple:
+    """Classes ordered by first world, found by scanning all worlds once per
+    class; related(w) is the class of w as a set."""
+    seen = set()
+    out = []
+    for w in worlds:
+        if w in seen:
+            continue
+        members = tuple(v for v in worlds if v in related(w))
+        seen.update(members)
+        out.append(members)
+    return tuple(out)
+
+
+def components_by_pair_scan(x) -> list:
+    """connected_components, restricting each component by scanning every
+    relation pair of the whole frame."""
+    fr = frame_of(x)
+    adjacency = {w: set() for w in fr.worlds}
+    for rel in fr.relations:
+        for w, u in rel:
+            adjacency[w].add(u)
+            adjacency[u].add(w)
+    seen: set = set()
+    out = []
+    for w in fr.worlds:
+        if w in seen:
+            continue
+        stack = [w]
+        seen.add(w)
+        members = {w}
+        while stack:
+            v = stack.pop()
+            for u in adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    members.add(u)
+                    stack.append(u)
+        ordered = tuple(v for v in fr.worlds if v in members)
+        rels = [{(a, b) for (a, b) in rel if a in members and b in members} for rel in fr.relations]
+        piece = Frame(fr.n, ordered, rels)
+        if isinstance(x, Model):
+            piece = Model(piece, {v: x.atoms_at(v) for v in ordered})
+        out.append((piece, ordered))
+    return out

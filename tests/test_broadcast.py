@@ -574,6 +574,26 @@ class TestVerifyDecomposition:
         missing = bad[0].witness[0]
         assert tuple(perfect_recall_state(victim, i) for i in range(3)) == missing
 
+    def test_merged_recall_classes_are_not_isomorphic(self):
+        env, proto = build_card_game(4, 2)
+        fr = generate_frame(env, proto, 2)
+        report = verify_hypercube_decomposition(fr)
+        victim = next(c for c in report.components if len(c.members) == 9)
+        first = victim.members[0]
+        other = next(
+            tr for tr in victim.members
+            if perfect_recall_state(tr, 1) != perfect_recall_state(first, 1)
+        )
+        merged = fr.succ(1, first) | fr.succ(1, other)
+        agent1 = set(fr.relations[0]) | {(a, b) for a in merged for b in merged}
+        broken = verify_hypercube_decomposition(
+            Frame(2, fr.worlds, [agent1, fr.relations[1]])
+        )
+        bad = [c for c in broken.components if not c.ok]
+        assert [c.members for c in bad] == [victim.members]
+        assert bad[0].reason == "not-isomorphic"
+        assert bad[0].axis_sizes == (1, 3, 3)
+
     def test_action_mismatch_is_detected(self):
         env, proto = build_card_game(2, 1)
         fr = generate_frame(env, proto, 2)

@@ -1,9 +1,13 @@
 """Command line interface: dispatch, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import s5wd
 from s5wd.broadcast import build_card_game, environment_to_json, protocol_to_json
 from s5wd.cli import main
 from s5wd.kripke import (
@@ -529,3 +533,16 @@ class TestHarness:
             first = run(capsys, argv)
             second = run(capsys, argv)
             assert first == second
+
+
+def test_module_invocation(capsys):
+    argv = ["parse", "--formula", "p", "--n", "1"]
+    expected = run(capsys, argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(s5wd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "s5wd.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == expected
+    assert done.stdout.startswith("formula: p\n")

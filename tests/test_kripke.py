@@ -517,6 +517,27 @@ class TestJson:
             )
         with pytest.raises(ValueError):
             frame_from_json(base)
+        with pytest.raises(ValueError, match="unknown world 'zz'"):
+            frame_from_json({**base, "partitions": {"1": [["w0", "w1"], ["zz"]]}})
+        # a duplicate is reported before a missing world, a missing world
+        # before an unknown one
+        with pytest.raises(ValueError, match="two partition blocks"):
+            frame_from_json(
+                {"n": 1, "worlds": ["w0", "w1", "w2"], "partitions": {"1": [["w0", "w1"], ["w1"]]}}
+            )
+        with pytest.raises(ValueError, match="missing from the partition"):
+            frame_from_json({**base, "partitions": {"1": [["w0"], ["zz"]]}})
+
+    def test_frame_from_partitions_validation(self):
+        worlds = ["w0", "w1"]
+        with pytest.raises(ValueError, match="unknown world 'zz'"):
+            frame_from_partitions(1, worlds, [[["w0", "w1", "zz"]]])
+        with pytest.raises(ValueError, match="two partition blocks"):
+            frame_from_partitions(1, worlds, [[["w0", "w1"], ["w0"]]])
+        with pytest.raises(ValueError, match="missing from the partition"):
+            frame_from_partitions(2, worlds, [[["w0", "w1"]], [["w0"]]])
+        with pytest.raises(ValueError, match="expected 2 partitions"):
+            frame_from_partitions(2, worlds, [[["w0", "w1"]]])
 
     def test_model_round_trip(self):
         m = missing_corner_model()

@@ -22,7 +22,7 @@ from .kripke import (
     BudgetError,
     Frame,
     Model,
-    connected_components,
+    component_members,
     frame_from_labels,
 )
 from .systems import GlobalStateSystem, is_full, is_hypercube, system_from_states
@@ -513,7 +513,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
     if mode not in ("hypercube", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     reports = []
-    for _, members in connected_components(fr):
+    for members in component_members(fr):
         shared = action_sequence(members[0])
         mismatch = next(
             (tr for tr in members if action_sequence(tr) != shared), None

@@ -34,7 +34,7 @@ from .kripke import (
     check_model_p_morphism,
     check_p_morphism,
     check_wd,
-    connected_components,
+    component_members,
     find_isomorphism,
     frame_from_json,
     frame_of,
@@ -184,9 +184,8 @@ def _cmd_frame_props(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    x = _load_frame_or_model(args.frame)
-    pieces = connected_components(x)
-    data = {"components": [[world_key(w) for w in members] for _, members in pieces]}
+    pieces = component_members(_load_frame_or_model(args.frame))
+    data = {"components": [[world_key(w) for w in members] for members in pieces]}
     lines = [
         f"component {idx}: " + " ".join(block)
         for idx, block in enumerate(data["components"], start=1)
@@ -343,7 +342,7 @@ def _cmd_broadcast_simulate(args) -> int:
         "depth": args.depth,
         "homogeneous": env.homogeneous,
         "worlds": len(fr.worlds),
-        "components": len(connected_components(fr)),
+        "components": len(component_members(fr)),
     }
     lines = [f"{key}: {data[key]}" for key in ("n", "depth", "homogeneous", "worlds", "components")]
     code = 0

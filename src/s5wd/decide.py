@@ -9,7 +9,6 @@ property for the class; otherwise the verdict is an honest unknown.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -35,8 +34,7 @@ from .kripke import (
     check_i,
     check_wd,
     find_frame_countermodel,
-    find_isomorphism,
-    frame_from_partitions,
+    frame_from_labels,
     is_connected,
 )
 
@@ -92,31 +90,26 @@ def _bell_numbers(k: int) -> list:
     return bell
 
 
-def _set_partitions(k: int) -> Iterator[list]:
-    """All partitions of {0..k-1} as block lists, in restricted-growth order."""
-    assignment = [0] * k
-
-    def rec(pos: int, used: int) -> Iterator[list]:
-        if pos == k:
-            blocks: dict = {}
-            for idx, b in enumerate(assignment):
-                blocks.setdefault(b, []).append(idx)
-            yield [blocks[b] for b in sorted(blocks)]
-            return
-        for b in range(used + 1):
-            assignment[pos] = b
-            yield from rec(pos + 1, max(used, b + 1))
-
-    yield from rec(0, 0)
+def _growth_strings(k: int) -> list:
+    """Every partition of {0..k-1} as its restricted growth string (the block
+    number of each element, blocks numbered by first element), in
+    lexicographic order."""
+    out = [()]
+    for _ in range(k):
+        out = [s + (b,) for s in out for b in range(max(s, default=-1) + 2)]
+    return out
 
 
-def _frame_signature(fr: Frame) -> tuple:
-    per_world = []
-    for w in fr.worlds:
-        per_world.append(
-            tuple(len(fr.succ(i, w)) for i in fr.agents) + (len(fr.isucc(w)),)
-        )
-    return tuple(sorted(per_world))
+def _relabel_table(strings: list, index: dict, perm: list) -> list:
+    """Index of the partition that moving element j to perm[j] makes of each."""
+    table = []
+    for s in strings:
+        moved = [0] * len(s)
+        for j, b in enumerate(s):
+            moved[perm[j]] = b
+        first: dict = {}
+        table.append(index[tuple(first.setdefault(b, len(first)) for b in moved)])
+    return table
 
 
 def enumerate_frames(
@@ -129,6 +122,16 @@ def enumerate_frames(
 ) -> Iterator[Frame]:
     """One representative per isomorphism class of frames with <= max_worlds
     worlds in the given class, built from n-tuples of set partitions.
+
+    For each world count k, the n-tuples of partitions of the k worlds are
+    scanned in product order (agent 1 slowest, partitions in
+    restricted-growth order).  Two tuples give isomorphic frames iff a
+    relabelling of the worlds maps one to the other, and the class and
+    connectivity tests are isomorphism invariant, so the representative is
+    the first tuple of its orbit under relabelling.  Each orbit is marked in
+    a bytearray when its first tuple is met, by a search over two
+    relabellings that generate them all, the swap of w0 and w1 and the
+    rotation w_j -> w_(j+1 mod k); only first tuples become frames.
 
     Raises BudgetError when the raw partition-tuple count exceeds budget.
     """
@@ -144,23 +147,36 @@ def enumerate_frames(
         )
     for k in range(1, max_worlds + 1):
         worlds = [f"w{j}" for j in range(k)]
-        parts = [
-            [[worlds[idx] for idx in block] for block in partition]
-            for partition in _set_partitions(k)
-        ]
-        accepted: dict = {}
-        for combo in itertools.product(parts, repeat=n):
-            fr = frame_from_partitions(n, worlds, combo)
+        position = {w: j for j, w in enumerate(worlds)}
+        strings = _growth_strings(k)
+        index = {s: idx for idx, s in enumerate(strings)}
+        perms = [[1, 0] + list(range(2, k)), [(j + 1) % k for j in range(k)]] if k > 1 else []
+        tables = [_relabel_table(strings, index, perm) for perm in perms]
+        # tuple code: partition indices as base-Bell(k) digits, agent 1 first
+        places = [len(strings) ** (n - 1 - a) for a in range(n)]
+        marked = bytearray(len(strings) ** n)
+        for code in range(len(marked)):
+            if marked[code]:
+                continue
+            marked[code] = 1
+            stack = [code]
+            while stack:
+                rest = stack.pop()
+                digits = []
+                for place in places:
+                    digit, rest = divmod(rest, place)
+                    digits.append(digit)
+                for table in tables:
+                    image = sum(table[d] * place for d, place in zip(digits, places))
+                    if not marked[image]:
+                        marked[image] = 1
+                        stack.append(image)
+            combo = [strings[(code // place) % len(strings)] for place in places]
+            fr = frame_from_labels(n, worlds, lambda i, w: combo[i - 1][position[w]])
             if not frame_in_class(fr, klass):
                 continue
             if connected_only and not is_connected(fr):
                 continue
-            bucket = accepted.setdefault(_frame_signature(fr), [])
-            if any(
-                find_isomorphism(fr, prev, max_worlds=k) is not None for prev in bucket
-            ):
-                continue
-            bucket.append(fr)
             yield fr
 
 

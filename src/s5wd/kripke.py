@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
@@ -23,12 +24,11 @@ from .formula import (
     Dist,
     Formula,
     And,
-    Iff,
     Implies,
     Not,
     Or,
     Some,
-    atoms,
+    children,
     has_node,
     subformulas,
 )
@@ -151,9 +151,10 @@ class Frame:
 class Model:
     """Model (frame, pi): the valuation assigns each world its true atoms.
 
-    The constructor accepts the valuation as a mapping world -> iterable of
-    atom names; missing worlds get the empty set.  Stored canonically as a
-    tuple of (world, sorted atom tuple) pairs in frame world order.
+    The constructor accepts the valuation as a mapping world -> list, tuple
+    or set of atom names; missing worlds get the empty set.  Stored
+    canonically as a tuple of (world, sorted atom tuple) pairs in frame world
+    order.
     """
 
     frame: Frame
@@ -167,7 +168,11 @@ class Model:
                 raise ValueError(f"valuation references an unknown world {w!r}")
         cooked = []
         for w in self.frame.worlds:
-            names = tuple(sorted(set(items.get(w, ()))))
+            names = items.get(w, ())
+            if not isinstance(names, (list, tuple, set, frozenset)):
+                # a string would otherwise be read as its characters
+                raise ValueError(f"valuation of world {w!r} is not a list of atoms: {names!r}")
+            names = tuple(sorted(set(names)))
             for name in names:
                 if not isinstance(name, str) or not _ATOM_RE.fullmatch(name):
                     raise ValueError(f"bad atom name {name!r}")
@@ -257,49 +262,107 @@ def _check_formula(fr: Frame, f: Formula) -> None:
         raise ValueError("the D operator requires an equivalence model")
 
 
+def _compile(f: Formula) -> list:
+    """f as a hash-consed DAG: (kind, arg, child ids) nodes, children before
+    parents, root last.  kind is the node class and arg the atom name or the
+    agent index (else None).  Nodes are keyed by kind, arg and child ids, so
+    equal subformulas share one id without hashing formula trees."""
+    nodes: list = []
+    ids: dict = {}
+    done: dict = {}  # id() of a formula object -> its node id; f keeps them alive
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if id(g) in done:
+            continue
+        kids = children(g)
+        if not ready:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(kids))
+            continue
+        kind = type(g)
+        arg = g.name if kind is Atom else g.agent if kind in (Box, Diamond) else None
+        key = (kind, arg, tuple(done[id(c)] for c in kids))
+        node = ids.get(key)
+        if node is None:
+            node = ids[key] = len(nodes)
+            nodes.append(key)
+        done[id(g)] = node
+    return nodes
+
+
+class _Kernel:
+    """A compiled formula evaluated on one frame for a batch of valuations.
+
+    Each world's truth value is one int with one bit per valuation of the
+    batch, so the boolean connectives act on the whole batch at once.  Worlds
+    sharing a successor set share a modal result, so each distinct successor
+    set is folded once per modal node.
+    """
+
+    def __init__(self, fr: Frame, nodes: list):
+        self.frame = fr
+        self.nodes = nodes
+        self._groups: dict = {}
+
+    def _modal_groups(self, kind, agent) -> list:
+        key = agent if kind in (Box, Diamond) else kind
+        groups = self._groups.get(key)
+        if groups is None:
+            fr = self.frame
+            if kind is Some:
+                succ = fr.neighborhood
+            elif kind is Dist:
+                succ = fr.isucc
+            else:
+                succ = fr._succ[agent - 1].__getitem__
+            members: dict = {}
+            for k, w in enumerate(fr.worlds):
+                members.setdefault(succ(w), []).append(k)
+            groups = [(ks, [fr._index[u] for u in s]) for s, ks in members.items()]
+            self._groups[key] = groups
+        return groups
+
+    def run(self, atom_value, full: int) -> list:
+        """Root value per world in world order; atom_value(name) gives an
+        atom's per-world values and full has a bit set for every valuation."""
+        values: list = []
+        size = len(self.frame.worlds)
+        for kind, arg, kids in self.nodes:
+            if kind is Atom:
+                out = atom_value(arg)
+            elif kind is Not:
+                out = [full ^ x for x in values[kids[0]]]
+            elif kind in (Box, Diamond, Some, Dist):
+                child = values[kids[0]]
+                fold, empty = (operator.and_, full) if kind in (Box, Dist) else (operator.or_, 0)
+                out = [0] * size
+                for members, succ in self._modal_groups(kind, arg):
+                    acc = functools.reduce(fold, [child[u] for u in succ], empty)
+                    for k in members:
+                        out[k] = acc
+            else:
+                pairs = zip(values[kids[0]], values[kids[1]])
+                if kind is And:
+                    out = [a & b for a, b in pairs]
+                elif kind is Or:
+                    out = [a | b for a, b in pairs]
+                elif kind is Implies:
+                    out = [(full ^ a) | b for a, b in pairs]
+                else:  # Iff
+                    out = [full ^ a ^ b for a, b in pairs]
+            values.append(out)
+        return values[-1]
+
+
 def extension(m: Model, f: Formula) -> frozenset:
-    """Worlds of m at which f holds, computed bottom-up over shared subformulas."""
+    """Worlds of m at which f holds: the kernel run on the one valuation of m."""
     fr = m.frame
     _check_formula(fr, f)
-    all_worlds = frozenset(fr.worlds)
-    memo: dict = {}
-
-    def ext(g: Formula) -> frozenset:
-        if g in memo:
-            return memo[g]
-        if isinstance(g, Atom):
-            out = frozenset(w for w in fr.worlds if g.name in m.atoms_at(w))
-        elif isinstance(g, Not):
-            out = all_worlds - ext(g.child)
-        elif isinstance(g, And):
-            out = ext(g.left) & ext(g.right)
-        elif isinstance(g, Or):
-            out = ext(g.left) | ext(g.right)
-        elif isinstance(g, Implies):
-            out = (all_worlds - ext(g.left)) | ext(g.right)
-        elif isinstance(g, Iff):
-            left, right = ext(g.left), ext(g.right)
-            out = (left & right) | ((all_worlds - left) - right)
-        elif isinstance(g, Box):
-            body = ext(g.child)
-            out = frozenset(w for w in fr.worlds if fr.succ(g.agent, w) <= body)
-        elif isinstance(g, Diamond):
-            body = ext(g.child)
-            out = frozenset(w for w in fr.worlds if fr.succ(g.agent, w) & body)
-        elif isinstance(g, Some):
-            body = ext(g.child)
-            out = frozenset(
-                w for w in fr.worlds if any(fr.succ(i, w) & body for i in fr.agents)
-            )
-        elif isinstance(g, Dist):
-            body = ext(g.child)
-            out = frozenset(w for w in fr.worlds if fr.isucc(w) <= body)
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-        memo[g] = out
-        return out
-
-    return ext(f)
+    nodes = _compile(f)
+    truths = [m.atoms_at(w) for w in fr.worlds]
+    root = _Kernel(fr, nodes).run(lambda name: [int(name in t) for t in truths], 1)
+    return frozenset(w for w, x in zip(fr.worlds, root) if x)
 
 
 def satisfies(m: Model, w, f: Formula) -> bool:
@@ -313,33 +376,65 @@ def valid_on_model(m: Model, f: Formula) -> bool:
     return len(extension(m, f)) == len(m.frame.worlds)
 
 
+# valuations per kernel batch: bounds memory to nodes * worlds * 512 bytes
+_BATCH_BITS = 12
+
+
 def find_frame_countermodel(
     fr: Frame, f: Formula, *, max_assignments: int = 2**20
 ) -> Optional[tuple]:
     """First (model, world) falsifying f over valuations of f's atoms, or None.
 
     Valuations range only over the atoms occurring in f; other atoms cannot
-    affect satisfaction.  Raises BudgetError when 2^(|W| * #atoms) exceeds
+    affect satisfaction.  Valuation v sets atom j at the world in position w
+    iff bit (N - 1 - (w * #atoms + j)) of v is set, N = |W| * #atoms: the
+    itertools.product order over (world, atom) truth values.  Valuations are
+    evaluated in order, 2^_BATCH_BITS at a time as bits of one int per world,
+    and the witness is the lowest falsifying valuation and then the first
+    world in world order.  Raises BudgetError when 2^N exceeds
     max_assignments.
     """
-    names = atoms(f)
+    nodes = _compile(f)
+    names = sorted({arg for kind, arg, _ in nodes if kind is Atom})
     k = len(names)
     size = len(fr.worlds)
-    if 2 ** (size * k) > max_assignments:
+    bits = size * k
+    if 2**bits > max_assignments:
         raise BudgetError(
-            f"frame validity needs 2^{size * k} valuations, over budget {max_assignments}"
+            f"frame validity needs 2^{bits} valuations, over budget {max_assignments}"
         )
-    for bits in itertools.product((False, True), repeat=size * k):
-        valuation = {
-            w: tuple(names[j] for j in range(k) if bits[wi * k + j])
-            for wi, w in enumerate(fr.worlds)
-        }
-        m = Model(fr, valuation)
-        holds = extension(m, f)
-        if len(holds) < size:
-            for w in fr.worlds:
-                if w not in holds:
-                    return (m, w)
+    _check_formula(fr, f)
+    kernel = _Kernel(fr, nodes)
+    batch = min(bits, _BATCH_BITS)
+    full = (1 << (1 << batch)) - 1
+    # column[b]: bit t set iff bit b of t is set, for t < 2^batch
+    column = [
+        full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+        for b in range(batch)
+    ]
+    position = {name: j for j, name in enumerate(names)}
+    for start in range(0, 1 << bits, 1 << batch):
+
+        def atom_value(name):
+            out = []
+            for w in range(size):
+                b = bits - 1 - (w * k + position[name])
+                out.append(column[b] if b < batch else full * (start >> b & 1))
+            return out
+
+        root = kernel.run(atom_value, full)
+        falsified = 0
+        for x in root:
+            falsified |= full ^ x
+        if falsified:
+            t = (falsified & -falsified).bit_length() - 1
+            v = start + t
+            w = next(w for w, x in zip(fr.worlds, root) if not x >> t & 1)
+            valuation = {
+                u: [names[j] for j in range(k) if v >> (bits - 1 - (ui * k + j)) & 1]
+                for ui, u in enumerate(fr.worlds)
+            }
+            return (Model(fr, valuation), w)
     return None
 
 
@@ -454,12 +549,10 @@ def _restrict(x: Union[Frame, Model], members: tuple) -> Union[Frame, Model]:
     return Model(piece, {w: x.atoms_at(w) for w in members})
 
 
-def connected_components(x: Union[Frame, Model]) -> list:
-    """Components of the union of all relations, symmetrically closed.
-
-    Returns (restricted frame-or-model, world tuple) pairs; worlds keep their
-    relative order and components are ordered by first world.
-    """
+def component_members(x: Union[Frame, Model]) -> list:
+    """World tuples of the components of the union of all relations,
+    symmetrically closed; worlds keep their relative order and components are
+    ordered by first world."""
     fr = frame_of(x)
     adjacency = {w: set() for w in fr.worlds}
     for rel in fr.relations:
@@ -481,21 +574,26 @@ def connected_components(x: Union[Frame, Model]) -> list:
                     seen.add(u)
                     members.append(u)
                     stack.append(u)
-        ordered = tuple(sorted(members, key=fr._index.__getitem__))
-        out.append((_restrict(x, ordered), ordered))
+        out.append(tuple(sorted(members, key=fr._index.__getitem__)))
     return out
 
 
+def connected_components(x: Union[Frame, Model]) -> list:
+    """(restricted frame-or-model, world tuple) pairs, one per component of
+    component_members(x), in its order."""
+    return [(_restrict(x, members), members) for members in component_members(x)]
+
+
 def is_connected(x: Union[Frame, Model]) -> bool:
-    return len(connected_components(x)) == 1
+    return len(component_members(x)) == 1
 
 
 def generated_submodel(m: Model, w) -> Model:
     """The connected component of m containing w; satisfaction at w is preserved."""
     m.frame.index(w)
-    for piece, members in connected_components(m):
+    for members in component_members(m):
         if w in members:
-            return piece
+            return _restrict(m, members)
     raise AssertionError("unreachable")
 
 
@@ -782,7 +880,7 @@ def model_from_json(data: Mapping) -> Model:
     for key, names in raw.items():
         if key not in by_key:
             raise ValueError(f"valuation references an unknown world {key!r}")
-        valuation[by_key[key]] = tuple(names)
+        valuation[by_key[key]] = names
     return Model(fr, valuation)
 
 

@@ -17,12 +17,18 @@ from s5wd.formula import (
 )
 import itertools
 
+from s5wd.decide import frame_in_class
+from s5wd.formula import atoms
 from s5wd.kripke import (
+    BudgetError,
     Frame,
     Model,
     WorldMap,
+    _check_formula,
+    find_isomorphism,
     frame_from_partitions,
     frame_of,
+    is_connected,
 )
 from s5wd.systems import GlobalStateSystem, system_from_states
 
@@ -271,3 +277,130 @@ def components_by_pair_scan(x) -> list:
             piece = Model(piece, {v: x.atoms_at(v) for v in ordered})
         out.append((piece, ordered))
     return out
+
+
+# The simple implementations the compiled kernel and the orbit-marking
+# enumerator replaced, kept as oracles.
+
+
+def extension_by_sets(m, f) -> frozenset:
+    """Worlds of m at which f holds, as frozensets computed over subformulas."""
+    fr = m.frame
+    _check_formula(fr, f)
+    all_worlds = frozenset(fr.worlds)
+    memo: dict = {}
+
+    def ext(g):
+        if g in memo:
+            return memo[g]
+        if isinstance(g, Atom):
+            out = frozenset(w for w in fr.worlds if g.name in m.atoms_at(w))
+        elif isinstance(g, Not):
+            out = all_worlds - ext(g.child)
+        elif isinstance(g, And):
+            out = ext(g.left) & ext(g.right)
+        elif isinstance(g, Or):
+            out = ext(g.left) | ext(g.right)
+        elif isinstance(g, Implies):
+            out = (all_worlds - ext(g.left)) | ext(g.right)
+        elif isinstance(g, Iff):
+            left, right = ext(g.left), ext(g.right)
+            out = (left & right) | ((all_worlds - left) - right)
+        elif isinstance(g, Box):
+            body = ext(g.child)
+            out = frozenset(w for w in fr.worlds if fr.succ(g.agent, w) <= body)
+        elif isinstance(g, Diamond):
+            body = ext(g.child)
+            out = frozenset(w for w in fr.worlds if fr.succ(g.agent, w) & body)
+        elif isinstance(g, Some):
+            body = ext(g.child)
+            out = frozenset(
+                w for w in fr.worlds if any(fr.succ(i, w) & body for i in fr.agents)
+            )
+        elif isinstance(g, Dist):
+            body = ext(g.child)
+            out = frozenset(w for w in fr.worlds if fr.isucc(w) <= body)
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        memo[g] = out
+        return out
+
+    return ext(f)
+
+
+def countermodel_by_valuation(fr, f, *, max_assignments: int = 2**20):
+    """find_frame_countermodel by building one Model per valuation, in
+    itertools.product order, and taking its frozenset extension."""
+    names = atoms(f)
+    k = len(names)
+    size = len(fr.worlds)
+    if 2 ** (size * k) > max_assignments:
+        raise BudgetError(
+            f"frame validity needs 2^{size * k} valuations, over budget {max_assignments}"
+        )
+    for bits in itertools.product((False, True), repeat=size * k):
+        valuation = {
+            w: tuple(names[j] for j in range(k) if bits[wi * k + j])
+            for wi, w in enumerate(fr.worlds)
+        }
+        m = Model(fr, valuation)
+        holds = extension_by_sets(m, f)
+        if len(holds) < size:
+            for w in fr.worlds:
+                if w not in holds:
+                    return (m, w)
+    return None
+
+
+def set_partitions(k: int):
+    """All partitions of {0..k-1} as block lists, in restricted-growth order."""
+    assignment = [0] * k
+
+    def rec(pos: int, used: int):
+        if pos == k:
+            blocks: dict = {}
+            for idx, b in enumerate(assignment):
+                blocks.setdefault(b, []).append(idx)
+            yield [blocks[b] for b in sorted(blocks)]
+            return
+        for b in range(used + 1):
+            assignment[pos] = b
+            yield from rec(pos + 1, max(used, b + 1))
+
+    yield from rec(0, 0)
+
+
+def frame_signature(fr: Frame) -> tuple:
+    per_world = []
+    for w in fr.worlds:
+        per_world.append(
+            tuple(len(fr.succ(i, w)) for i in fr.agents) + (len(fr.isucc(w)),)
+        )
+    return tuple(sorted(per_world))
+
+
+def enumerate_frames_pairwise(n: int, max_worlds: int, klass: str = "e", *,
+                              connected_only: bool = False):
+    """enumerate_frames by building a frame for every partition tuple and
+    keeping it unless find_isomorphism matches an earlier kept frame with
+    the same degree signature."""
+    for k in range(1, max_worlds + 1):
+        worlds = [f"w{j}" for j in range(k)]
+        parts = [
+            [[worlds[idx] for idx in block] for block in partition]
+            for partition in set_partitions(k)
+        ]
+        accepted: dict = {}
+        for combo in itertools.product(parts, repeat=n):
+            fr = frame_from_partitions(n, worlds, combo)
+            if not frame_in_class(fr, klass):
+                continue
+            if connected_only and not is_connected(fr):
+                continue
+            bucket = accepted.setdefault(frame_signature(fr), [])
+            if any(
+                find_isomorphism(fr, prev, max_worlds=k) is not None for prev in bucket
+            ):
+                continue
+            bucket.append(fr)
+            yield fr

@@ -128,6 +128,18 @@ class TestCheck:
         assert code == 1
         assert "error:" in err
 
+    def test_string_valuation_rejected(self, capsys, tmp_path):
+        fr = frame_from_partitions(1, ["a"], [[["a"]]])
+        data = frame_to_json(fr)
+        data["valuation"] = {"a": "pq"}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(
+            capsys, ["check", "--model", str(path), "--world", "a", "--formula", "q"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: valuation of world 'a' is not a list of atoms: 'pq'\n"
+
 
 class TestReports:
     def test_frame_props(self, capsys, corner_files):

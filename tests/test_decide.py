@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from s5wd import decide, kripke
 from s5wd.decide import (
     Verdict,
     catach_instance,
@@ -23,6 +24,7 @@ from s5wd.formula import (
 from s5wd.kripke import (
     AgentIndexError,
     BudgetError,
+    Frame,
     check_d,
     check_equivalence,
     check_i,
@@ -89,6 +91,28 @@ class TestEnumerateFrames:
     def test_budget(self):
         with pytest.raises(BudgetError):
             list(enumerate_frames(2, 7))
+
+    def test_six_worlds_two_agents(self):
+        assert len(list(enumerate_frames(2, 6, "e"))) == 437
+
+    def test_no_isomorphism_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("find_isomorphism called")
+
+        monkeypatch.setattr(kripke, "find_isomorphism", refuse)
+        monkeypatch.setattr(decide, "find_isomorphism", refuse, raising=False)
+        assert len(list(enumerate_frames(2, 4, "e"))) == 48
+
+    def test_one_frame_per_orbit(self, monkeypatch):
+        built = []
+        post_init = Frame.__post_init__
+        monkeypatch.setattr(Frame, "__post_init__", lambda fr: built.append(post_init(fr)))
+        # every orbit of class e is yielded, so orbits = frames yielded
+        orbits = len(list(enumerate_frames(2, 4, "e")))
+        assert len(built) == orbits
+        built.clear()
+        list(enumerate_frames(2, 4, "ed", connected_only=True))
+        assert len(built) == orbits
 
     def test_bad_class(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,21 @@
-"""Grouped fast paths against the brute-force definitions in helpers, on
-seeded random inputs whose world order is shuffled: classes and components
-must come out in first-world order, so order is part of the comparison."""
+"""Fast paths against the simple implementations kept in helpers, on seeded
+random inputs.  World order is shuffled where the output has an order (classes
+and components come out in first-world order), so order is part of the
+comparison; frame sequences and countermodel witnesses must be identical."""
 
 import itertools
 import random
 
+import pytest
+
+from s5wd import kripke
+from s5wd.decide import CLASS_NAMES, enumerate_frames
 from s5wd.kripke import (
     Frame,
     connected_components,
     equivalence_classes,
+    extension,
+    find_frame_countermodel,
     frame_from_partitions,
 )
 from s5wd.systems import f_map, system_from_states
@@ -16,8 +23,14 @@ from s5wd.unpack import cluster_decomposition
 from helpers import (
     classes_by_scan,
     components_by_pair_scan,
+    countermodel_by_valuation,
+    enumerate_frames_pairwise,
+    extension_by_sets,
     f_map_by_definition,
     pairs_from_blocks,
+    random_equivalence_frame,
+    random_formula,
+    random_frame,
     random_model,
     random_partition,
 )
@@ -84,3 +97,67 @@ def test_connected_components_match_pair_scan():
             assert got == components_by_pair_scan(x)
         split += len(got) > 1
     assert split > len(SEEDS) // 4
+
+
+def test_enumerate_frames_matches_pairwise_search():
+    cases = [(1, 8, "e", False), (3, 4, "e", False)]
+    cases += [(2, 5, klass, connected) for klass in CLASS_NAMES for connected in (False, True)]
+    for n, k, klass, connected in cases:
+        got = list(enumerate_frames(n, k, klass, connected_only=connected))
+        assert got == list(enumerate_frames_pairwise(n, k, klass, connected_only=connected))
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result with models as valuations, or the exception it raised."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ValueError, kripke.BudgetError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return result[0].valuation, result[1]
+    return result
+
+
+def search_cases(seed: int):
+    rng = random.Random(seed)
+    frames = [list(enumerate_frames(1, 5)), list(enumerate_frames(2, 4)),
+              list(enumerate_frames(3, 3))]
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            fr = rng.choice(frames[n - 1])
+        else:
+            fr = random_frame(rng, n, rng.randint(1, 5), rng.choice((0.2, 0.5)))
+        f = random_formula(rng, n, ["p", "q"], rng.randint(0, 4), allow_s=True, allow_d=True)
+        yield fr, f
+
+
+@pytest.mark.parametrize("batch_bits", [12, 2])
+def test_countermodel_matches_per_valuation_search(monkeypatch, batch_bits):
+    # two-bit batches put most atom bits above the batch and the witness in
+    # a later batch
+    monkeypatch.setattr(kripke, "_BATCH_BITS", batch_bits)
+    found = raised = 0
+    for fr, f in search_cases(batch_bits):
+        for budget in (2**3, 2**10):
+            got = outcome(find_frame_countermodel, fr, f, max_assignments=budget)
+            assert got == outcome(countermodel_by_valuation, fr, f, max_assignments=budget)
+            found += isinstance(got, tuple) and got[0] is not kripke.BudgetError
+            raised += isinstance(got, tuple) and got[0] is kripke.BudgetError
+    assert found > 50 and raised > 50
+
+
+def test_extension_matches_frozensets():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        size = rng.randint(1, 8)
+        if seed % 2:
+            fr = random_equivalence_frame(rng, n, size)
+        else:
+            fr = random_frame(rng, n, size, rng.choice((0.1, 0.3, 0.6)))
+        m = random_model(rng, fr, ["p", "q", "r"])
+        for _ in range(5):
+            f = random_formula(rng, n, ["p", "q", "r", "s"], rng.randint(0, 5),
+                               allow_s=True, allow_d=True)
+            assert outcome(extension, m, f) == outcome(extension_by_sets, m, f)

@@ -120,6 +120,16 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             Model(identity_frame(1, 1), {"w0": ("P",)})
 
+    def test_valuation_value_must_be_a_list(self):
+        # a string is not read as its characters
+        for value in ("pq", "p", 3, None, {"p": True}):
+            with pytest.raises(ValueError, match="not a list of atoms"):
+                Model(identity_frame(1, 1), {"w0": value})
+        data = model_to_json(Model(identity_frame(1, 1), {}))
+        data["valuation"] = {"w0": "pq"}
+        with pytest.raises(ValueError, match="not a list of atoms"):
+            model_from_json(data)
+
     def test_atoms_at_unknown_world(self):
         with pytest.raises(ValueError):
             Model(identity_frame(1, 1), {}).atoms_at("zz")
@@ -213,6 +223,16 @@ class TestFrameValidity:
 
     def test_no_countermodel_for_valid(self):
         assert find_frame_countermodel(identity_frame(1, 2), parse("[1]p <-> p", 1)) is None
+
+    def test_builds_a_model_only_for_the_witness(self, monkeypatch):
+        fr = missing_corner_model().frame
+        built = []
+        post_init = Model.__post_init__
+        monkeypatch.setattr(Model, "__post_init__", lambda m: built.append(post_init(m)))
+        assert find_frame_countermodel(fr, parse(CATACH, 2)) is not None
+        assert len(built) == 1
+        assert find_frame_countermodel(fr, parse("[1]p -> p", 2)) is None
+        assert len(built) == 1
 
     def test_budget(self):
         fr = identity_frame(1, 6)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -24,8 +25,9 @@ from .kripke import (
     Model,
     component_members,
     frame_from_labels,
+    world_key,
 )
-from .systems import GlobalStateSystem, is_full, is_hypercube, system_from_states
+from .systems import GlobalStateSystem, is_hypercube, system_from_states
 
 EPSILON = "eps"
 
@@ -531,9 +533,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
         }
         axes = [list(dict.fromkeys(coords[tr][i] for tr in members)) for i in range(width)]
         axis_sizes = tuple(len(axis) for axis in axes)
-        product_size = 1
-        for size in axis_sizes:
-            product_size *= size
+        product_size = math.prod(axis_sizes)
         realized = set(coords.values())
         if mode == "hypercube" and len(members) != product_size:
             missing = next(
@@ -545,12 +545,14 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
             )
             continue
         if mode == "full":
-            system = system_from_states(width - 1, list(coords.values()))
-            if not is_full(system):
+            seen = {c[1:] for c in realized}
+            if len(seen) != product_size // axis_sizes[0]:
                 hole = next(
                     combo
-                    for combo in itertools.product(*system.local_alphabets)
-                    if not any(state[1:] == combo for state in system.states)
+                    for combo in itertools.product(
+                        *(sorted(axis, key=world_key) for axis in axes[1:])
+                    )
+                    if combo not in seen
                 )
                 reports.append(
                     ComponentReport(members, shared, axis_sizes, False,

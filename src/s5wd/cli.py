@@ -227,11 +227,10 @@ def _cmd_pmorph(args) -> int:
 def _cmd_f_map(args) -> int:
     data = _load_json(args.system)
     if "valuation" in data:
-        m = f_map_interpreted(interpreted_from_json(data))
-        _emit(args, model_to_json(m), [json.dumps(model_to_json(m), sort_keys=True)])
+        doc = model_to_json(f_map_interpreted(interpreted_from_json(data)))
     else:
-        fr = f_map(system_from_json(data))
-        _emit(args, frame_to_json(fr), [json.dumps(frame_to_json(fr), sort_keys=True)])
+        doc = frame_to_json(f_map(system_from_json(data)))
+    _emit(args, doc, [json.dumps(doc, sort_keys=True)])
     return 0
 
 

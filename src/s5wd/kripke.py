@@ -100,11 +100,17 @@ class Frame:
         object.__setattr__(self, "relations", tuple(cooked))
         index = {w: k for k, w in enumerate(worlds)}
         succ = []
+        # equal successor sets share one object, so tuples of them (the join
+        # test's memo keys) compare by identity instead of element by element
+        shared: dict = {}
         for rel in cooked:
             table = {w: set() for w in worlds}
             for w, u in rel:
                 table[w].add(u)
-            succ.append({w: frozenset(v) for w, v in table.items()})
+            for w, v in table.items():
+                v = frozenset(v)
+                table[w] = shared.setdefault(v, v)
+            succ.append(table)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_succ", tuple(succ))
 
@@ -469,31 +475,26 @@ def check_i(fr: Frame) -> bool:
     return all(fr.isucc(w) == frozenset((w,)) for w in fr.worlds)
 
 
-def _nonempty_intersection(sets: tuple) -> bool:
-    out = sets[0]
-    for s in sets[1:]:
-        out = out & s
-        if not out:
-            return False
-    return bool(out)
-
-
-def check_d(fr: Frame) -> bool:
-    """True iff every n-tuple (w_1..w_n) has a join w with w_i R_i w for all i.
+def _all_joined(fr: Frame, worlds, known: dict) -> bool:
+    """True iff every tuple (S_1..S_n), S_i an agent-i successor set of some
+    member of worlds, has a common member; known memoizes tuple verdicts.
 
     Only distinct successor sets per agent matter, which keeps the product
     small on large symmetric frames.
     """
-    per_agent = []
-    for i in fr.agents:
-        distinct = {}
-        for w in fr.worlds:
-            distinct.setdefault(fr.succ(i, w), None)
-        per_agent.append(list(distinct))
+    per_agent = [dict.fromkeys(table[w] for w in worlds) for table in fr._succ]
     for combo in itertools.product(*per_agent):
-        if not _nonempty_intersection(combo):
+        verdict = known.get(combo)
+        if verdict is None:
+            verdict = known[combo] = bool(frozenset.intersection(*combo))
+        if not verdict:
             return False
     return True
+
+
+def check_d(fr: Frame) -> bool:
+    """True iff every n-tuple (w_1..w_n) has a join w with w_i R_i w for all i."""
+    return _all_joined(fr, fr.worlds, {})
 
 
 def check_wd(fr: Frame) -> bool:
@@ -503,30 +504,13 @@ def check_wd(fr: Frame) -> bool:
     common w_0 under any relation, some w satisfies w_i R_i w for all i.
     """
     known: dict = {}
-    for w0 in fr.worlds:
-        hood = sorted(fr.neighborhood(w0), key=fr.index)
-        if not hood:
-            continue
-        per_agent = []
-        for i in fr.agents:
-            distinct = {}
-            for v in hood:
-                distinct.setdefault(fr.succ(i, v), None)
-            per_agent.append(list(distinct))
-        for combo in itertools.product(*per_agent):
-            verdict = known.get(combo)
-            if verdict is None:
-                verdict = _nonempty_intersection(combo)
-                known[combo] = verdict
-            if not verdict:
-                return False
-    return True
+    return all(_all_joined(fr, fr.neighborhood(w0), known) for w0 in fr.worlds)
 
 
 def equivalence_classes(fr: Frame, i: int) -> tuple:
     """Classes of R_i ordered by first world, each a tuple in world order."""
     fr._check_agent(i)
-    if not _relation_is_equivalence(fr, i):
+    if not getattr(fr, "_equivalence_cache", False) and not _relation_is_equivalence(fr, i):
         raise ValueError(f"relation {i} is not an equivalence relation")
     return _group_by(fr.worlds, fr._succ[i - 1].__getitem__)
 
@@ -791,15 +775,15 @@ def check_model_p_morphism(wm: WorldMap) -> MorphismReport:
 
 def frame_to_json(fr: Frame) -> dict:
     """JSON-ready dict; worlds and relation pairs follow frame world order."""
+    keys = [world_key(w) for w in fr.worlds]
     rels = {}
-    for i in fr.agents:
-        pairs = sorted(fr.relations[i - 1], key=lambda p: (fr.index(p[0]), fr.index(p[1])))
-        rels[str(i)] = [[world_key(w), world_key(u)] for w, u in pairs]
-    return {
-        "n": fr.n,
-        "worlds": [world_key(w) for w in fr.worlds],
-        "relations": rels,
-    }
+    for i, table in enumerate(fr._succ, 1):
+        rels[str(i)] = [
+            [keys[k], keys[j]]
+            for k, w in enumerate(fr.worlds)
+            for j in sorted(map(fr._index.__getitem__, table[w]))
+        ]
+    return {"n": fr.n, "worlds": keys, "relations": rels}
 
 
 def frame_from_labels(n: int, worlds: Iterable, label) -> Frame:

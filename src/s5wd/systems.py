@@ -52,13 +52,15 @@ class GlobalStateSystem:
         states = tuple(sorted({tuple(s) for s in self.states}, key=world_key))
         if not states:
             raise ValueError("states must be nonempty")
+        env_set = set(env)
+        local_sets = [set(alphabet) for alphabet in locals_]
         for state in states:
             if len(state) != self.n + 1:
                 raise ValueError(f"state {state!r} is not an {self.n + 1}-tuple")
-            if state[0] not in set(env):
+            if state[0] not in env_set:
                 raise ValueError(f"state {state!r} has environment outside the alphabet")
             for i in range(1, self.n + 1):
-                if state[i] not in set(locals_[i - 1]):
+                if state[i] not in local_sets[i - 1]:
                     raise ValueError(
                         f"state {state!r} has agent {i} component outside the alphabet"
                     )
@@ -154,6 +156,21 @@ def class_label(members: Iterable) -> str:
     return "{" + "|".join(world_key(w) for w in members) + "}"
 
 
+def _labelled_system(fr: Frame, env) -> tuple:
+    """System with one state (env(w), [w]_1, .., [w]_n) per world w of the
+    equivalence frame fr, and the map from its F image sending each state
+    back to its world."""
+    states = {w: (env(w),) for w in fr.worlds}
+    for i in fr.agents:
+        for members in equivalence_classes(fr, i):
+            name = class_label(members)
+            for w in members:
+                states[w] += (name,)
+    mapping = {state: w for w, state in states.items()}
+    system = system_from_states(fr.n, mapping)
+    return system, WorldMap(f_map(system), fr, mapping)
+
+
 def frame_to_full_system(fr: Frame) -> tuple:
     """Full system whose frame is isomorphic to fr; fr must be E and D.
 
@@ -165,28 +182,17 @@ def frame_to_full_system(fr: Frame) -> tuple:
         raise ValueError("frame is not an equivalence frame")
     if not check_d(fr):
         raise ValueError("frame is not directed")
-    labels = []
-    for i in fr.agents:
-        table = {}
-        for members in equivalence_classes(fr, i):
-            name = class_label(members)
-            for w in members:
-                table[w] = name
-        labels.append(table)
-    states = [(w,) + tuple(labels[i - 1][w] for i in fr.agents) for w in fr.worlds]
-    system = system_from_states(fr.n, states)
-    image = f_map(system)
-    wm = WorldMap(image, fr, {state: state[0] for state in image.worlds})
-    return system, wm
+    return _labelled_system(fr, lambda w: w)
 
 
 def frame_to_hypercube(fr: Frame) -> tuple:
     """Hypercube over fr's quotient classes; fr must be E, D, and I.
 
-    States are ("1", [w]_1, .., [w]_n) over all class combinations.  The
-    returned map sends each state to the unique world lying in all its
-    classes (it exists by directedness and is unique by the identity
-    intersection), and is an isomorphism from f_map(system) onto fr.
+    States are ("1", [w]_1, .., [w]_n), one per world w, and the returned map
+    sends each state back to its world.  By the identity intersection the
+    states are distinct, and by directedness every combination of classes is
+    some world's, so the states form the full product; the map is an
+    isomorphism from f_map(system) onto fr.
     """
     if not check_equivalence(fr):
         raise ValueError("frame is not an equivalence frame")
@@ -194,25 +200,11 @@ def frame_to_hypercube(fr: Frame) -> tuple:
         raise ValueError("frame is not directed")
     if not check_i(fr):
         raise ValueError("frame does not have the identity intersection property")
-    per_agent = []
-    for i in fr.agents:
-        per_agent.append([(class_label(members), set(members)) for members in equivalence_classes(fr, i)])
-    states = []
-    mapping = {}
-    for combo in itertools.product(*per_agent):
-        members = set(fr.worlds)
-        for _, block in combo:
-            members &= block
-        if len(members) != 1:
-            raise RuntimeError(
-                "internal error: class intersection is not a singleton on an EDI frame"
-            )
-        state = ("1",) + tuple(name for name, _ in combo)
-        states.append(state)
-        mapping[state] = members.pop()
-    system = system_from_states(fr.n, states)
-    image = f_map(system)
-    wm = WorldMap(image, fr, mapping)
+    system, wm = _labelled_system(fr, lambda w: "1")
+    if not is_hypercube(system):
+        raise RuntimeError(
+            "internal error: class intersection is not a singleton on an EDI frame"
+        )
     return system, wm
 
 

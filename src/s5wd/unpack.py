@@ -1,10 +1,13 @@
-"""Unpacking: build an EDI frame with a verified p-morphism onto a given frame.
+"""Unpacking: build an EDI frame with a p-morphism onto a given frame.
 
 Worlds sharing every agent's equivalence class form a cluster.  Each cluster
 c is blown up into |X|^n copies indexed by coordinate tuples, related so that
 the intersection of all relations becomes the identity, and mapped back onto
 c by a surjection that can hit every member of c with any one coordinate
 pinned.  Directedness is preserved, so an ED input yields an EDI output.
+
+Only the input is checked (equivalence and weak directedness); the map is a
+p-morphism by construction, and kripke.check_p_morphism re-checks it on request.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .kripke import (
     _group_by,
     check_equivalence,
     check_wd,
-    equivalence_classes,
     frame_from_labels,
 )
 
@@ -72,11 +74,11 @@ def coordinate_surjection(k: int, m: int, x_size: int) -> dict:
 def unpack_to_edi(fr: Frame, x_size: Optional[int] = None) -> tuple:
     """EDI unpacking of an equivalence frame whose components are directed.
 
-    Returns (unpacked frame, world map onto fr); the map is a verified
-    p-morphism.  Worlds are (cluster, coordinate tuple) pairs; two worlds are
-    i-related iff their i-th coordinates agree and their clusters lie in the
-    same R_i class.  x_size defaults to the largest cluster size and must not
-    be smaller.
+    Returns (unpacked frame, world map onto fr); the map is a surjective
+    p-morphism by construction and is not re-checked.  Worlds are (cluster,
+    coordinate tuple) pairs; two worlds are i-related iff their i-th
+    coordinates agree and their clusters lie in the same R_i class.  x_size
+    defaults to the largest cluster size and must not be smaller.
     """
     if not check_equivalence(fr):
         raise ValueError("frame is not an equivalence frame")
@@ -92,21 +94,11 @@ def unpack_to_edi(fr: Frame, x_size: Optional[int] = None) -> tuple:
             f"x_size {x_size} is smaller than the largest cluster ({max_cluster})"
         )
     n = fr.n
-
-    # Which R_i class each cluster sits in, via its first member.
-    class_of = []
-    for i in fr.agents:
-        table = {}
-        for idx, members in enumerate(equivalence_classes(fr, i)):
-            for w in members:
-                table[w] = idx
-        class_of.append({c: table[c[0]] for c in clusters})
-
     coords = list(itertools.product(range(x_size), repeat=n))
     worlds = [(c, x) for c in clusters for x in coords]
-
+    # a cluster's R_i class is the class of its first member
     unpacked = frame_from_labels(
-        n, worlds, lambda i, w: (class_of[i - 1][w[0]], w[1][i - 1])
+        n, worlds, lambda i, w: (fr.succ(i, w[0][0]), w[1][i - 1])
     )
 
     mapping = {}

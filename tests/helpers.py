@@ -17,6 +17,7 @@ from s5wd.formula import (
 )
 import itertools
 
+from s5wd.broadcast import perfect_recall_state
 from s5wd.decide import frame_in_class
 from s5wd.formula import atoms
 from s5wd.kripke import (
@@ -25,12 +26,19 @@ from s5wd.kripke import (
     Model,
     WorldMap,
     _check_formula,
+    equivalence_classes,
     find_isomorphism,
     frame_from_partitions,
     frame_of,
     is_connected,
 )
-from s5wd.systems import GlobalStateSystem, system_from_states
+from s5wd.systems import (
+    GlobalStateSystem,
+    class_label,
+    f_map,
+    is_full,
+    system_from_states,
+)
 
 
 def random_formula(
@@ -404,3 +412,93 @@ def enumerate_frames_pairwise(n: int, max_worlds: int, klass: str = "e", *,
                 continue
             bucket.append(fr)
             yield fr
+
+
+# The per-function join tests, the class-product hypercube search and the
+# system-building fullness check that one join test and class labels
+# replaced, kept as oracles.
+
+
+def _nonempty_intersection(sets: tuple) -> bool:
+    out = sets[0]
+    for s in sets[1:]:
+        out = out & s
+        if not out:
+            return False
+    return bool(out)
+
+
+def check_d_by_product(fr: Frame) -> bool:
+    """check_d over the product of each agent's distinct successor sets."""
+    per_agent = []
+    for i in fr.agents:
+        distinct = {}
+        for w in fr.worlds:
+            distinct.setdefault(fr.succ(i, w), None)
+        per_agent.append(list(distinct))
+    return all(_nonempty_intersection(combo) for combo in itertools.product(*per_agent))
+
+
+def check_wd_by_neighborhood(fr: Frame) -> bool:
+    """check_wd with a product of distinct successor sets per neighborhood."""
+    for w0 in fr.worlds:
+        hood = sorted(fr.neighborhood(w0), key=fr.index)
+        if not hood:
+            continue
+        per_agent = []
+        for i in fr.agents:
+            distinct = {}
+            for v in hood:
+                distinct.setdefault(fr.succ(i, v), None)
+            per_agent.append(list(distinct))
+        for combo in itertools.product(*per_agent):
+            if not _nonempty_intersection(combo):
+                return False
+    return True
+
+
+def frame_to_full_system_by_tables(fr: Frame) -> tuple:
+    """frame_to_full_system with one class-name table per agent."""
+    labels = []
+    for i in fr.agents:
+        table = {}
+        for members in equivalence_classes(fr, i):
+            for w in members:
+                table[w] = class_label(members)
+        labels.append(table)
+    states = [(w,) + tuple(labels[i - 1][w] for i in fr.agents) for w in fr.worlds]
+    system = system_from_states(fr.n, states)
+    image = f_map(system)
+    return system, WorldMap(image, fr, {state: state[0] for state in image.worlds})
+
+
+def frame_to_hypercube_by_product(fr: Frame) -> tuple:
+    """frame_to_hypercube by intersecting every combination of classes."""
+    per_agent = [
+        [(class_label(members), set(members)) for members in equivalence_classes(fr, i)]
+        for i in fr.agents
+    ]
+    mapping = {}
+    for combo in itertools.product(*per_agent):
+        members = set(fr.worlds)
+        for _, block in combo:
+            members &= block
+        assert len(members) == 1
+        mapping[("1",) + tuple(name for name, _ in combo)] = members.pop()
+    system = system_from_states(fr.n, list(mapping))
+    return system, WorldMap(f_map(system), fr, mapping)
+
+
+def not_full_hole_by_system(members: tuple) -> tuple:
+    """First agent-axis combination with no trace among members, found by
+    building the system of their recall coordinates; () if there is none."""
+    width = len(members[0][0][1])
+    coords = [tuple(perfect_recall_state(tr, i) for i in range(width)) for tr in members]
+    system = system_from_states(width - 1, coords)
+    if is_full(system):
+        return ()
+    return next(
+        combo
+        for combo in itertools.product(*system.local_alphabets)
+        if not any(state[1:] == combo for state in system.states)
+    )

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from s5wd import broadcast
 from s5wd.broadcast import (
     EPSILON,
     AgentProtocol,
@@ -620,6 +621,34 @@ class TestVerifyDecomposition:
         relaxed = verify_hypercube_decomposition(fr, mode="full")
         assert relaxed.ok
         assert len(relaxed.components) == 17
+
+    def test_missing_combination_is_not_full(self):
+        e = BroadcastEnvironment(
+            2,
+            external_actions=((EPSILON,), (EPSILON,), (EPSILON,)),
+            internal_actions=((EPSILON,), (EPSILON,), (EPSILON,)),
+            private_states=(("e",), ("a", "b"), ("x", "y")),
+            initial_states=[(BLANK3, ("e", "a", "x")), (BLANK3, ("e", "a", "y")),
+                            (BLANK3, ("e", "b", "x"))],
+        )
+        fr = generate_frame(e, trivial_protocol(2), 1)
+        full = verify_hypercube_decomposition(fr, mode="full")
+        assert not full.ok
+        [component] = full.components
+        assert component.reason == "not-full"
+        assert component.witness == ((((BLANK3, "b"),), ((BLANK3, "y"),)),)
+        strict = verify_hypercube_decomposition(fr, mode="hypercube")
+        assert strict.components[0].reason == "missing-tuple"
+
+    def test_full_mode_builds_no_system(self, monkeypatch):
+        env, proto = build_card_game(4, 2, "rich")
+        fr = generate_frame(env, proto, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("system_from_states called")
+
+        monkeypatch.setattr(broadcast, "system_from_states", refuse)
+        assert verify_hypercube_decomposition(fr, mode="full").ok
 
     def test_mode_validation(self):
         env, proto = build_card_game(2, 1)

@@ -9,28 +9,50 @@ import random
 import pytest
 
 from s5wd import kripke
+from s5wd.broadcast import (
+    EPSILON,
+    BroadcastEnvironment,
+    generate_frame,
+    trivial_protocol,
+    verify_hypercube_decomposition,
+)
 from s5wd.decide import CLASS_NAMES, enumerate_frames
 from s5wd.kripke import (
     Frame,
+    check_d,
+    check_wd,
     connected_components,
     equivalence_classes,
     extension,
     find_frame_countermodel,
+    frame_from_labels,
     frame_from_partitions,
 )
-from s5wd.systems import f_map, system_from_states
+from s5wd.systems import (
+    f_map,
+    frame_to_full_system,
+    frame_to_hypercube,
+    system_from_states,
+)
 from s5wd.unpack import cluster_decomposition
 from helpers import (
+    check_d_by_product,
+    check_wd_by_neighborhood,
     classes_by_scan,
     components_by_pair_scan,
     countermodel_by_valuation,
     enumerate_frames_pairwise,
     extension_by_sets,
     f_map_by_definition,
+    frame_to_full_system_by_tables,
+    frame_to_hypercube_by_product,
+    not_full_hole_by_system,
     pairs_from_blocks,
     random_equivalence_frame,
     random_formula,
     random_frame,
+    random_full_system,
+    random_hypercube,
     random_model,
     random_partition,
 )
@@ -161,3 +183,75 @@ def test_extension_matches_frozensets():
             f = random_formula(rng, n, ["p", "q", "r", "s"], rng.randint(0, 5),
                                allow_s=True, allow_d=True)
             assert outcome(extension, m, f) == outcome(extension_by_sets, m, f)
+
+
+def test_join_tests_match_per_function_products():
+    verdicts = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        size = rng.randint(1, 7)
+        frames = (
+            random_frame(rng, n, size, rng.choice((0.1, 0.3, 0.6))),
+            random_equivalence_frame(rng, n, size),
+        )
+        for fr in frames:
+            got = (check_d(fr), check_wd(fr))
+            assert got == (check_d_by_product(fr), check_wd_by_neighborhood(fr))
+            verdicts.add(got)
+    # every combination a frame can have (D implies WD) occurs
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def shuffled_f_image(rng: random.Random, system) -> Frame:
+    """F image of system on worlds named w0.. in a shuffled order."""
+    states = list(system.states)
+    rng.shuffle(states)
+    state_of = {f"w{k}": s for k, s in enumerate(states)}
+    worlds = list(state_of)
+    rng.shuffle(worlds)
+    return frame_from_labels(system.n, worlds, lambda i, w: state_of[w][i])
+
+
+def test_frame_to_system_matches_class_products():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        cube = shuffled_f_image(rng, random_hypercube(rng, n))
+        assert frame_to_hypercube(cube) == frame_to_hypercube_by_product(cube)
+        full = shuffled_f_image(rng, random_full_system(rng, n))
+        assert frame_to_full_system(full) == frame_to_full_system_by_tables(full)
+
+
+def random_depth_one_frame(rng: random.Random) -> Frame:
+    """Trace frame of a passive environment whose initial private states are
+    a random subset, in random order, of a product of small alphabets."""
+    n = rng.randint(1, 3)
+    alphabets = [[f"e{k}" for k in range(rng.randint(1, 2))]] + [
+        [f"a{i}_{k}" for k in range(rng.randint(1, 4))] for i in range(1, n + 1)
+    ]
+    product = list(itertools.product(*alphabets))
+    blank = (EPSILON,) * (n + 1)
+    env = BroadcastEnvironment(
+        n,
+        external_actions=((EPSILON,),) * (n + 1),
+        internal_actions=((EPSILON,),) * (n + 1),
+        private_states=tuple(alphabets),
+        initial_states=[(blank, s) for s in rng.sample(product, rng.randint(1, len(product)))],
+    )
+    return generate_frame(env, trivial_protocol(n), 1)
+
+
+def test_not_full_witness_matches_system_search():
+    reasons = []
+    for seed in SEEDS:
+        report = verify_hypercube_decomposition(
+            random_depth_one_frame(random.Random(seed)), mode="full"
+        )
+        for c in report.components:
+            hole = not_full_hole_by_system(c.members)
+            assert (c.reason == "not-full") == bool(hole)
+            if hole:
+                assert c.witness == (hole,)
+            reasons.append(c.reason)
+    assert "not-full" in reasons and None in reasons

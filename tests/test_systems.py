@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from s5wd import kripke
 from s5wd.kripke import (
     check_d,
     check_equivalence,
@@ -241,6 +242,19 @@ class TestFrameToHypercube:
             found = find_isomorphism(f_map(again), fr, max_worlds=30)
             assert found is not None
             assert_isomorphism(found)
+
+    def test_each_relation_checked_once(self, monkeypatch):
+        fr = f_map(random_hypercube(random.Random(7), 2))
+        checked = []
+        real = kripke._relation_is_equivalence
+
+        def counting(fr, i):
+            checked.append(i)
+            return real(fr, i)
+
+        monkeypatch.setattr(kripke, "_relation_is_equivalence", counting)
+        frame_to_hypercube(fr)
+        assert checked == [1, 2]
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="directed"):

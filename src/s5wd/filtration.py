@@ -24,6 +24,8 @@ from .kripke import (
     Model,
     MorphismReport,
     WorldMap,
+    _lowest,
+    _mask,
     check_equivalence,
     extension,
     frame_from_labels,
@@ -115,30 +117,57 @@ def check_suitable(fil: Filtration, i: int) -> MorphismReport:
     Transfer: related classes must respect the modal closure members, i.e.
     truth of a box at one class forces its body at the other, and truth of a
     body at one class forces the diamond at the other.
+
+    Sets of source worlds are int masks, bit k standing for the k-th world,
+    so each world is checked against all others at once.  The witness is the
+    first failing pair in world order, the one a scan of all pairs finds.
     """
     m = fil.source
     fr = frame_of(m)
     fr._check_agent(i)
-    proj = fil.projection
-    related = fil.quotient.frame.relations[i - 1]
-    for w in fr.worlds:
-        succ = fr.succ(i, w)
-        # scan in world order so failure witnesses are deterministic
-        for u in fr.worlds:
-            if u in succ and (proj(w), proj(u)) not in related:
-                return MorphismReport(False, "containment", (i, w, u))
+    index = fr._index
+    worlds = fr.worlds
+    table = fil.projection.as_dict()
+    images = [table[w] for w in worlds]
+    preimage: dict = {}
+    for k, c in enumerate(images):
+        preimage[c] = preimage.get(c, 0) | 1 << k
+    qsucc = fil.quotient.frame._succ[i - 1]
+    # related[k]: the worlds whose class is an agent-i successor of world k's;
+    # equal successor sets are one object, so each is expanded once
+    reach: dict = {}
+    related = []
+    for c in images:
+        s = qsucc.get(c, frozenset())
+        if s not in reach:
+            reach[s] = sum(preimage.get(d, 0) for d in s)
+        related.append(reach[s])
+    succ = fr._succ[i - 1]
+    masks: dict = {}
+    for k, w in enumerate(worlds):
+        s = succ[w]
+        if s not in masks:
+            masks[s] = _mask(index, s)
+        bad = masks[s] & ~related[k]
+        if bad:
+            return MorphismReport(False, "containment", (i, w, worlds[_lowest(bad)]))
     modal = [
-        (g, extension(m, g), extension(m, g.child))
+        (g, extension(m, g), _mask(index, extension(m, g.child)))
         for g in fil.closure
         if isinstance(g, (Box, Diamond)) and g.agent == i
     ]
-    for w1 in fr.worlds:
-        for w2 in fr.worlds:
-            if (proj(w1), proj(w2)) not in related:
-                continue
-            for g, outer, inner in modal:
-                if isinstance(g, Box) and w1 in outer and w2 not in inner:
-                    return MorphismReport(False, "transfer", (i, w1, w2, g))
-                if isinstance(g, Diamond) and w2 in inner and w1 not in outer:
-                    return MorphismReport(False, "transfer", (i, w1, w2, g))
+    for k, w1 in enumerate(worlds):
+        fails = []
+        union = 0
+        for g, outer, inner in modal:
+            if w1 in outer:
+                bad = related[k] & ~inner if isinstance(g, Box) else 0
+            else:
+                bad = related[k] & inner if isinstance(g, Diamond) else 0
+            fails.append((g, bad))
+            union |= bad
+        if union:
+            w2 = _lowest(union)
+            g = next(g for g, bad in fails if bad >> w2 & 1)
+            return MorphismReport(False, "transfer", (i, w1, worlds[w2], g))
     return MorphismReport(True)

@@ -475,15 +475,19 @@ def check_i(fr: Frame) -> bool:
     return all(fr.isucc(w) == frozenset((w,)) for w in fr.worlds)
 
 
-def _all_joined(fr: Frame, worlds, known: dict) -> bool:
-    """True iff every tuple (S_1..S_n), S_i an agent-i successor set of some
-    member of worlds, has a common member; known memoizes tuple verdicts.
+def _distinct_successors(fr: Frame, worlds) -> tuple:
+    """Per agent, the distinct successor sets of the members of worlds.
 
-    Only distinct successor sets per agent matter, which keeps the product
-    small on large symmetric frames.
+    Only these matter to the join test, which keeps its product small on
+    large symmetric frames.
     """
-    per_agent = [dict.fromkeys(table[w] for w in worlds) for table in fr._succ]
-    for combo in itertools.product(*per_agent):
+    return tuple(frozenset(table[w] for w in worlds) for table in fr._succ)
+
+
+def _all_joined(family: tuple, known: dict) -> bool:
+    """True iff every tuple (S_1..S_n), S_i drawn from family[i-1], has a
+    common member; known memoizes tuple verdicts."""
+    for combo in itertools.product(*family):
         verdict = known.get(combo)
         if verdict is None:
             verdict = known[combo] = bool(frozenset.intersection(*combo))
@@ -494,7 +498,7 @@ def _all_joined(fr: Frame, worlds, known: dict) -> bool:
 
 def check_d(fr: Frame) -> bool:
     """True iff every n-tuple (w_1..w_n) has a join w with w_i R_i w for all i."""
-    return _all_joined(fr, fr.worlds, {})
+    return _all_joined(_distinct_successors(fr, fr.worlds), {})
 
 
 def check_wd(fr: Frame) -> bool:
@@ -502,9 +506,19 @@ def check_wd(fr: Frame) -> bool:
 
     Tests the condition: whenever each w_i (i = 1..n) is one step from some
     common w_0 under any relation, some w satisfies w_i R_i w for all i.
+    Neighborhoods with the same distinct successor sets share one verdict.
     """
     known: dict = {}
-    return all(_all_joined(fr, fr.neighborhood(w0), known) for w0 in fr.worlds)
+    # kept apart from known: the family of an empty neighborhood equals the
+    # tuple of n empty successor sets, which has the opposite verdict
+    families: dict = {}
+    for w0 in fr.worlds:
+        family = _distinct_successors(fr, fr.neighborhood(w0))
+        if family not in families:
+            families[family] = _all_joined(family, known)
+        if not families[family]:
+            return False
+    return True
 
 
 def equivalence_classes(fr: Frame, i: int) -> tuple:
@@ -538,28 +552,33 @@ def component_members(x: Union[Frame, Model]) -> list:
     symmetrically closed; worlds keep their relative order and components are
     ordered by first world."""
     fr = frame_of(x)
-    adjacency = {w: set() for w in fr.worlds}
-    for rel in fr.relations:
-        for w, u in rel:
-            adjacency[w].add(u)
-            adjacency[u].add(w)
-    seen: set = set()
-    out = []
-    for w in fr.worlds:
-        if w in seen:
-            continue
-        stack = [w]
-        seen.add(w)
-        members = [w]
-        while stack:
-            v = stack.pop()
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    members.append(u)
-                    stack.append(u)
-        out.append(tuple(sorted(members, key=fr._index.__getitem__)))
-    return out
+    index = fr._index
+    root = list(range(len(fr.worlds)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    # union-find over world indices: each world joins its successors.  Equal
+    # successor sets are one object, so the members of each set are joined
+    # once and every later holder of it joins the first.
+    holder: dict = {}
+    for table in fr._succ:
+        for w, s in table.items():
+            if not s:
+                continue
+            if s not in holder:
+                holder[s] = w
+                r = find(index[w])
+                for u in s:
+                    root[find(index[u])] = r
+            else:
+                root[find(index[w])] = find(index[holder[s]])
+    groups: dict = {}
+    for k, w in enumerate(fr.worlds):
+        groups.setdefault(find(k), []).append(w)
+    return [tuple(g) for g in groups.values()]
 
 
 def connected_components(x: Union[Frame, Model]) -> list:
@@ -681,51 +700,84 @@ def find_isomorphism(
     if any(len(buckets_a[c]) != len(buckets_b[c]) for c in buckets_a):
         return None
 
-    def pair_ok(u, t, w, v):
-        # consistency of candidate u->t with assigned w->v, both directions
+    # worlds are indices into fa.worlds and fb.worlds; sets of b worlds are
+    # int masks, bit k standing for fb.worlds[k]
+    sa, pa = _mask_tables(fa, fa._succ), _mask_tables(fa, pred_a)
+    sb, pb = _mask_tables(fb, fb._succ), _mask_tables(fb, pred_b)
+
+    def loops(tables: list, k: int) -> tuple:
+        return tuple(table[k] >> k & 1 for table in tables)
+
+    # a world may map to the b worlds of its color with its self-loops
+    same_color = {c: _mask(fb._index, ws) for c, ws in buckets_b.items()}
+    same_loops: dict = {}
+    for t in range(len(fb.worlds)):
+        same_loops[loops(sb, t)] = same_loops.get(loops(sb, t), 0) | 1 << t
+    domains = {}
+    for k, w in enumerate(fa.worlds):
+        domains[k] = same_color[colors[("a", w)]] & same_loops.get(loops(sa, k), 0)
+        if not domains[k]:
+            return None
+
+    def narrow(rest: dict, w: int, v: int) -> Optional[dict]:
+        # forward checking: u may map to t only if u relates to w, both ways
+        # and under every agent, as t relates to v; a test equal to one
+        # already listed (symmetric relations, equal agents) is dropped
+        tests: list = []
         for i in range(fa.n):
-            if (u in fa._succ[i][w]) != (t in fb._succ[i][v]):
-                return False
-            if (w in fa._succ[i][u]) != (v in fb._succ[i][t]):
-                return False
-        return True
+            for x, y in ((sa[i][w], sb[i][v]), (pa[i][w], pb[i][v])):
+                if (x, y, ~y) not in tests:
+                    tests.append((x, y, ~y))
+        clear = ~(1 << v)
+        out = {}
+        for u, dom in rest.items():
+            dom &= clear
+            for x, y, not_y in tests:
+                dom &= y if x >> u & 1 else not_y
+            if not dom:
+                return None
+            out[u] = dom
+        return out
 
-    def self_ok(w, v):
-        return all((w in fa._succ[i][w]) == (v in fb._succ[i][v]) for i in range(fa.n))
-
-    domains = {
-        w: [v for v in buckets_b[colors[("a", w)]] if self_ok(w, v)] for w in fa.worlds
-    }
-    if any(not dom for dom in domains.values()):
-        return None
-    assignment: dict = {}
-
-    def backtrack(domains) -> bool:
-        if not domains:
-            return True
-        w = min(domains, key=lambda u: (len(domains[u]), fa.index(u)))
-        for v in domains[w]:
-            narrowed = {}
-            feasible = True
-            for u, dom in domains.items():
-                if u == w:
-                    continue
-                filtered = [t for t in dom if t != v and pair_ok(u, t, w, v)]
-                if not filtered:
-                    feasible = False
-                    break
-                narrowed[u] = filtered
-            if not feasible:
+    # backtracking on an explicit stack, so depth is not bounded by the
+    # recursion limit; entries are [world, image, untried images, domains of
+    # the other worlds unassigned before it], deepest last
+    stack: list = []
+    while domains:
+        w = min(domains, key=lambda u: (domains[u].bit_count(), u))
+        stack.append([w, None, domains.pop(w), domains])
+        while True:
+            if not stack:
+                return None
+            entry = stack[-1]
+            w, _, untried, rest = entry
+            narrowed = None
+            while untried and narrowed is None:
+                v = _lowest(untried)
+                untried ^= 1 << v
+                narrowed = narrow(rest, w, v)
+            if narrowed is None:
+                stack.pop()
                 continue
-            assignment[w] = v
-            if backtrack(narrowed):
-                return True
-            del assignment[w]
-        return False
+            entry[1], entry[2] = v, untried
+            domains = narrowed
+            break
+    return WorldMap(a, b, {fa.worlds[w]: fb.worlds[v] for w, v, _, _ in stack})
 
-    if not backtrack(domains):
-        return None
-    return WorldMap(a, b, dict(assignment))
+
+def _mask(index: dict, worlds) -> int:
+    """Int with bit index[w] set for each w in worlds."""
+    return sum(1 << index[w] for w in worlds)
+
+
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _mask_tables(fr: Frame, tables) -> list:
+    """Per agent, the mask of tables[i][w] for each world w in world order."""
+    return [[_mask(fr._index, table[w]) for w in fr.worlds] for table in tables]
 
 
 def check_p_morphism(wm: WorldMap) -> MorphismReport:

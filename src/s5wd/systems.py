@@ -217,12 +217,26 @@ def system_to_json(s: GlobalStateSystem) -> dict:
     }
 
 
+def _symbols(values, where: str) -> tuple:
+    """values as a tuple of symbols; a JSON array or object cannot be a
+    symbol, and a string would otherwise be read as its characters."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{where} is not a list: {values!r}")
+    for x in values:
+        if isinstance(x, (list, dict)):
+            raise ValueError(f"symbol {x!r} in {where} is not a string or number")
+    return tuple(values)
+
+
 def system_from_json(data: Mapping) -> GlobalStateSystem:
     return GlobalStateSystem(
         data["n"],
-        tuple(data["env"]),
-        tuple(tuple(alphabet) for alphabet in data["locals"]),
-        tuple(tuple(state) for state in data["states"]),
+        _symbols(data["env"], "env"),
+        tuple(
+            _symbols(alphabet, f"the agent {i} alphabet")
+            for i, alphabet in enumerate(data["locals"], 1)
+        ),
+        tuple(_symbols(state, f"state {k}") for k, state in enumerate(data["states"])),
     )
 
 

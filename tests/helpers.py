@@ -24,9 +24,13 @@ from s5wd.kripke import (
     BudgetError,
     Frame,
     Model,
+    MorphismReport,
     WorldMap,
     _check_formula,
+    _initial_color,
+    _predecessors,
     equivalence_classes,
+    extension,
     find_isomorphism,
     frame_from_partitions,
     frame_of,
@@ -502,3 +506,144 @@ def not_full_hole_by_system(members: tuple) -> tuple:
         for combo in itertools.product(*system.local_alphabets)
         if not any(state[1:] == combo for state in system.states)
     )
+
+
+def check_suitable_by_pairs(fil, i: int) -> MorphismReport:
+    """check_suitable by scanning every ordered pair of source worlds."""
+    m = fil.source
+    fr = frame_of(m)
+    fr._check_agent(i)
+    proj = fil.projection
+    related = fil.quotient.frame.relations[i - 1]
+    for w in fr.worlds:
+        succ = fr.succ(i, w)
+        # scan in world order so failure witnesses are deterministic
+        for u in fr.worlds:
+            if u in succ and (proj(w), proj(u)) not in related:
+                return MorphismReport(False, "containment", (i, w, u))
+    modal = [
+        (g, extension(m, g), extension(m, g.child))
+        for g in fil.closure
+        if isinstance(g, (Box, Diamond)) and g.agent == i
+    ]
+    for w1 in fr.worlds:
+        for w2 in fr.worlds:
+            if (proj(w1), proj(w2)) not in related:
+                continue
+            for g, outer, inner in modal:
+                if isinstance(g, Box) and w1 in outer and w2 not in inner:
+                    return MorphismReport(False, "transfer", (i, w1, w2, g))
+                if isinstance(g, Diamond) and w2 in inner and w1 not in outer:
+                    return MorphismReport(False, "transfer", (i, w1, w2, g))
+    return MorphismReport(True)
+
+
+def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):
+    """find_isomorphism with list domains filtered pair by pair and a
+    recursive search, one Python frame per assigned world."""
+    if isinstance(a, Model) != isinstance(b, Model):
+        raise ValueError("cannot compare a Frame with a Model")
+    fa, fb = frame_of(a), frame_of(b)
+    if fa.n != fb.n:
+        raise ValueError(f"agent counts differ: {fa.n} vs {fb.n}")
+    if max(len(fa.worlds), len(fb.worlds)) > max_worlds:
+        raise BudgetError(
+            f"isomorphism search over {max(len(fa.worlds), len(fb.worlds))} worlds "
+            f"exceeds the budget of {max_worlds}"
+        )
+    if len(fa.worlds) != len(fb.worlds):
+        return None
+
+    pred_a, pred_b = _predecessors(fa), _predecessors(fb)
+    tagged = [("a", w) for w in fa.worlds] + [("b", w) for w in fb.worlds]
+
+    def side(tag):
+        return (fa, pred_a, a) if tag == "a" else (fb, pred_b, b)
+
+    colors = {}
+    initial = {}
+    for tag, w in tagged:
+        fr, pred, x = side(tag)
+        initial[(tag, w)] = _initial_color(x, pred, w)
+    palette = {sig: k for k, sig in enumerate(sorted(set(initial.values())))}
+    colors = {tw: palette[sig] for tw, sig in initial.items()}
+
+    while True:
+        signatures = {}
+        for tag, w in tagged:
+            fr, pred, _ = side(tag)
+            sig = (
+                colors[(tag, w)],
+                tuple(
+                    tuple(sorted(colors[(tag, v)] for v in fr._succ[i][w]))
+                    for i in range(fr.n)
+                ),
+                tuple(
+                    tuple(sorted(colors[(tag, v)] for v in pred[i][w]))
+                    for i in range(fr.n)
+                ),
+            )
+            signatures[(tag, w)] = sig
+        palette = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
+        refined = {tw: palette[signatures[tw]] for tw in signatures}
+        if len(set(refined.values())) == len(set(colors.values())):
+            colors = refined
+            break
+        colors = refined
+
+    buckets_a: dict = {}
+    buckets_b: dict = {}
+    for w in fa.worlds:
+        buckets_a.setdefault(colors[("a", w)], []).append(w)
+    for w in fb.worlds:
+        buckets_b.setdefault(colors[("b", w)], []).append(w)
+    if set(buckets_a) != set(buckets_b):
+        return None
+    if any(len(buckets_a[c]) != len(buckets_b[c]) for c in buckets_a):
+        return None
+
+    def pair_ok(u, t, w, v):
+        # consistency of candidate u->t with assigned w->v, both directions
+        for i in range(fa.n):
+            if (u in fa._succ[i][w]) != (t in fb._succ[i][v]):
+                return False
+            if (w in fa._succ[i][u]) != (v in fb._succ[i][t]):
+                return False
+        return True
+
+    def self_ok(w, v):
+        return all((w in fa._succ[i][w]) == (v in fb._succ[i][v]) for i in range(fa.n))
+
+    domains = {
+        w: [v for v in buckets_b[colors[("a", w)]] if self_ok(w, v)] for w in fa.worlds
+    }
+    if any(not dom for dom in domains.values()):
+        return None
+    assignment: dict = {}
+
+    def backtrack(domains) -> bool:
+        if not domains:
+            return True
+        w = min(domains, key=lambda u: (len(domains[u]), fa.index(u)))
+        for v in domains[w]:
+            narrowed = {}
+            feasible = True
+            for u, dom in domains.items():
+                if u == w:
+                    continue
+                filtered = [t for t in dom if t != v and pair_ok(u, t, w, v)]
+                if not filtered:
+                    feasible = False
+                    break
+                narrowed[u] = filtered
+            if not feasible:
+                continue
+            assignment[w] = v
+            if backtrack(narrowed):
+                return True
+            del assignment[w]
+        return False
+
+    if not backtrack(domains):
+        return None
+    return WorldMap(a, b, dict(assignment))

@@ -140,6 +140,15 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == "error: valuation of world 'a' is not a list of atoms: 'pq'\n"
 
+    def test_list_symbol_rejected(self, capsys, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(
+            {"n": 1, "env": ["e"], "locals": [["a0"]], "states": [["e", ["a0"]]]}
+        ))
+        code, out, err = run(capsys, ["f-map", "--system", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: symbol ['a0'] in state 0 is not a string or number\n"
+
 
 class TestReports:
     def test_frame_props(self, capsys, corner_files):

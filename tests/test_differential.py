@@ -3,6 +3,7 @@ random inputs.  World order is shuffled where the output has an order (classes
 and components come out in first-world order), so order is part of the
 comparison; frame sequences and countermodel witnesses must be identical."""
 
+import dataclasses
 import itertools
 import random
 
@@ -17,16 +18,21 @@ from s5wd.broadcast import (
     verify_hypercube_decomposition,
 )
 from s5wd.decide import CLASS_NAMES, enumerate_frames
+from s5wd.filtration import check_suitable, filtrate
 from s5wd.kripke import (
     Frame,
+    Model,
+    WorldMap,
     check_d,
     check_wd,
     connected_components,
     equivalence_classes,
     extension,
     find_frame_countermodel,
+    find_isomorphism,
     frame_from_labels,
     frame_from_partitions,
+    frame_of,
 )
 from s5wd.systems import (
     f_map,
@@ -37,6 +43,7 @@ from s5wd.systems import (
 from s5wd.unpack import cluster_decomposition
 from helpers import (
     check_d_by_product,
+    check_suitable_by_pairs,
     check_wd_by_neighborhood,
     classes_by_scan,
     components_by_pair_scan,
@@ -44,6 +51,7 @@ from helpers import (
     enumerate_frames_pairwise,
     extension_by_sets,
     f_map_by_definition,
+    find_isomorphism_by_lists,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
     not_full_hole_by_system,
@@ -53,6 +61,7 @@ from helpers import (
     random_frame,
     random_full_system,
     random_hypercube,
+    random_i_local,
     random_model,
     random_partition,
 )
@@ -255,3 +264,117 @@ def test_not_full_witness_matches_system_search():
                 assert c.witness == (hole,)
             reasons.append(c.reason)
     assert "not-full" in reasons and None in reasons
+
+
+def corrupted_filtrations(rng: random.Random):
+    """A filtration of a random equivalence model, then copies with its
+    quotient relations replaced (repartitioned, pairs dropped, pairs added,
+    which breaks equivalence, or all pairs) or its projection replaced by a
+    random map."""
+    n = rng.randint(1, 3)
+    m = random_model(rng, random_equivalence_frame(rng, n, rng.randint(2, 10)), ["p", "q"])
+    # several agent-i boxes and diamonds, so that some fail at the same pair
+    fil = filtrate(m, random_i_local(rng, n, rng.randint(1, n), ["p", "q"], rng.randint(1, 3)))
+    q = fil.quotient.frame
+    reps = list(q.worlds)
+    yield fil
+    density = rng.choice((0.3, 0.6))
+    for frame in (
+        frame_from_partitions(n, reps, [random_partition(rng, reps) for _ in range(n)]),
+        Frame(n, reps, [{p for p in rel if rng.random() < 0.7} for rel in q.relations]),
+        Frame(n, reps, [rel | {(w, u) for w in reps for u in reps if rng.random() < density}
+                        for rel in q.relations]),
+        Frame(n, reps, [list(itertools.product(reps, reps))] * n),
+    ):
+        yield dataclasses.replace(fil, quotient=Model(frame, dict(fil.quotient.valuation)))
+    image = {w: rng.choice(reps) for w in m.frame.worlds}
+    yield dataclasses.replace(fil, projection=WorldMap(m.frame, q, image))
+
+
+def test_check_suitable_matches_pair_scan():
+    clauses = []
+    for seed in SEEDS:
+        for fil in corrupted_filtrations(random.Random(seed)):
+            for i in fil.source.frame.agents:
+                got = check_suitable(fil, i)
+                assert got == check_suitable_by_pairs(fil, i)
+                clauses.append(got.clause)
+    assert clauses.count("containment") > 100 and clauses.count("transfer") > 50
+    assert clauses.count(None) > 300
+
+
+def renamed_copy(rng: random.Random, x):
+    """x on worlds renamed v0.. in a shuffled order; a model keeps its valuation."""
+    fr = frame_of(x)
+    names = [f"v{k}" for k in range(len(fr.worlds))]
+    rng.shuffle(names)
+    name = dict(zip(fr.worlds, names))
+    rng.shuffle(names)
+    copy = Frame(fr.n, names, [{(name[w], name[u]) for w, u in rel} for rel in fr.relations])
+    if isinstance(x, Frame):
+        return copy
+    return Model(copy, {name[w]: x.atoms_at(w) for w in fr.worlds})
+
+
+def cycles(n: int, lengths) -> Frame:
+    """Disjoint directed cycles, the same for every agent: color refinement
+    cannot tell cycle lengths apart, so only the search can."""
+    worlds, pairs = [], set()
+    for c, length in enumerate(lengths):
+        ring = [f"c{c}_{k}" for k in range(length)]
+        worlds += ring
+        pairs |= {(ring[k], ring[(k + 1) % length]) for k in range(length)}
+    return Frame(n, worlds, [pairs] * n)
+
+
+def rewired_pair(rng: random.Random, n: int) -> tuple:
+    """A frame where each world has the same number of successors, and a
+    copy with a few edges swapped (x->y, u->v become x->v, u->y): degrees are
+    kept, so refinement often cannot tell them apart whether or not they are
+    isomorphic."""
+    worlds = [f"w{k}" for k in range(rng.randint(4, 8))]
+    degree = rng.randint(1, 3)
+    rels = [{(w, u) for w in worlds for u in rng.sample([x for x in worlds if x != w], degree)}
+            for _ in range(n)]
+    swapped = []
+    for rel in rels:
+        rel = set(rel)
+        for _ in range(rng.randint(1, 3)):
+            (x, y), (u, v) = rng.sample(sorted(rel), 2)
+            if len({x, y, u, v}) == 4 and (x, v) not in rel and (u, y) not in rel:
+                rel = rel - {(x, y), (u, v)} | {(x, v), (u, y)}
+        swapped.append(rel)
+    return Frame(n, worlds, rels), Frame(n, worlds, swapped)
+
+
+def isomorphism_cases(rng: random.Random):
+    n = rng.randint(1, 3)
+    size = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        a = random_frame(rng, n, size, rng.choice((0.1, 0.3, 0.6)))
+    else:
+        a = random_equivalence_frame(rng, n, size)
+    if rng.random() < 0.5:
+        a = random_model(rng, a, ["p"])
+    yield a, renamed_copy(rng, a)
+    other = random_frame(rng, n, size, rng.choice((0.1, 0.3, 0.6)))
+    yield a, other if isinstance(a, Frame) else random_model(rng, other, ["p"])
+    yield cycles(n, [6, 6]), renamed_copy(rng, cycles(n, [3, 3, 6]))
+    yield cycles(n, [3, 3, 6]), renamed_copy(rng, cycles(n, [6, 6]))
+    yield cycles(n, [4, 4, 4]), renamed_copy(rng, cycles(n, [4, 4, 4]))
+    for _ in range(10):
+        a, b = rewired_pair(rng, n)
+        yield a, renamed_copy(rng, b)
+
+
+def test_find_isomorphism_matches_list_search():
+    outcomes = []
+    for seed in SEEDS:
+        for a, b in isomorphism_cases(random.Random(seed)):
+            for budget in (6, 12):
+                got = outcome(find_isomorphism, a, b, max_worlds=budget)
+                assert got == outcome(find_isomorphism_by_lists, a, b, max_worlds=budget)
+                outcomes.append(type(got).__name__)
+    assert outcomes.count("WorldMap") > 100
+    assert outcomes.count("NoneType") > 100
+    assert outcomes.count("tuple") > 50

@@ -10,6 +10,7 @@ from s5wd.formula import Atom, Box, formula_size, parse, subformula_closure
 from s5wd.kripke import (
     Frame,
     Model,
+    WorldMap,
     check_d,
     check_equivalence,
     find_isomorphism,
@@ -190,6 +191,16 @@ class TestSuitability:
         assert not report
         assert report.clause == "transfer"
         assert report.witness == (1, "w0", "w1", Box(1, Atom("p")))
+
+    def test_projection_read_once_per_world(self, monkeypatch):
+        # the checks work on masks of source worlds, not on pairs of them
+        rng = random.Random(9)
+        m = random_model(rng, random_equivalence_frame(rng, 2, 300), ["p", "q"])
+        calls = []
+        call = WorldMap.__call__
+        monkeypatch.setattr(WorldMap, "__call__", lambda wm, w: calls.append(w) or call(wm, w))
+        filtrate(m, parse("[1](p -> <2>q) | <1>[2]q", 2))
+        assert len(calls) <= len(m.frame.worlds)
 
     def test_agent_out_of_range(self):
         fil = filtrate(split_pair_model(), parse("p", 2))

@@ -1,6 +1,7 @@
 """Frames, models, satisfaction, frame properties, and structural maps."""
 
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from s5wd.kripke import (
     find_frame_countermodel,
     find_isomorphism,
     frame_from_json,
+    frame_from_labels,
     frame_from_partitions,
     frame_to_json,
     generated_submodel,
@@ -392,6 +394,28 @@ class TestIsomorphism:
     def test_agent_count_mismatch(self):
         with pytest.raises(ValueError):
             find_isomorphism(identity_frame(1, 2), identity_frame(2, 2))
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # a 20 x 20 grid: color refinement leaves all 400 worlds alike, so the
+        # search assigns them one by one
+        rng = random.Random(7)
+        cells = [(x, y) for x in range(20) for y in range(20)]
+        frames = []
+        for _ in range(2):
+            rng.shuffle(cells)
+            frames.append(frame_from_labels(2, cells, lambda i, c: c[i - 1]))
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth += 1
+            frame = frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            wm = find_isomorphism(*frames, max_worlds=400)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert_isomorphism(wm)
 
 
 class TestPMorphism:

@@ -285,6 +285,19 @@ class TestJson:
         with pytest.raises(ValueError):
             interpreted_from_json(data)
 
+    def test_list_symbols_rejected(self):
+        data = system_to_json(small_hypercube())
+        for key, value, where in (
+            ("env", [["1"]], "env"),
+            ("locals", [["a", "b"], ["c", ["d"]]], "the agent 2 alphabet"),
+            ("states", [["1", "a", "c"], ["1", {"b": 0}, "d"]], "state 1"),
+        ):
+            bad = dict(data, **{key: value})
+            with pytest.raises(ValueError, match=f"symbol .* in {where} is not a string"):
+                system_from_json(bad)
+        with pytest.raises(ValueError, match="state 0 is not a list: '1ac'"):
+            system_from_json(dict(data, states=["1ac"]))
+
     def test_class_label(self):
         assert class_label(("w0", "w1")) == "{w0|w1}"
         assert class_label(((0, "w0"),)) == '{[0,"w0"]}'

@@ -1,9 +1,10 @@
 """Finite Kripke frames and models: satisfaction, frame properties, morphisms.
 
 Worlds are arbitrary hashable identifiers (strings when loaded from JSON,
-tuples in product constructions).  Relations are explicit pair sets, one per
-agent, indexed 1..n.  All values are immutable after construction and all
-operations are pure.
+tuples in product constructions).  A frame stores one successor table per
+agent, indexed 1..n, mapping each world to its successor frozenset; its pair
+sets are derived on first access.  All values are immutable after
+construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import itertools
 import json
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .formula import (
     AgentIndexError,
@@ -60,17 +61,28 @@ def world_key(w) -> str:
     return json.dumps(_plain(w), separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+class _Tables(NamedTuple):
+    """Successor tables that a builder hands to Frame unchecked: per agent, a
+    dict from each world to its successor frozenset, equal sets one object.
+    equivalence is True when each world's set is its class, else None."""
+
+    succ: tuple
+    equivalence: Optional[bool]
+
+
 class Frame:
-    """Finite frame (W, R_1..R_n); relations[i-1] holds agent i's world pairs.
+    """Finite frame (W, R_1..R_n), stored as one successor table per agent.
 
     The constructor accepts relations as a length-n sequence of pair iterables
-    or as a mapping keyed by agent index (int or string).
+    or as a mapping keyed by agent index (int or string).  relations[i-1]
+    gives back agent i's world pairs, built on first access.  Frames are
+    immutable and equal when their n, world order and relations are.
     """
 
-    n: int
-    worlds: tuple
-    relations: tuple
+    def __init__(self, n: int, worlds: Iterable, relations):
+        # the work is in __post_init__, which bench/spans.py wraps to time frames
+        vars(self).update(n=n, worlds=worlds, _given=relations)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,41 +90,55 @@ class Frame:
         worlds = tuple(self.worlds)
         if not worlds:
             raise ValueError("worlds must be nonempty")
-        world_set = set(worlds)
-        if len(world_set) != len(worlds):
+        index = {w: k for k, w in enumerate(worlds)}
+        if len(index) != len(worlds):
             raise ValueError("worlds must be distinct")
-        rels = self.relations
+        rels = vars(self).pop("_given")
+        if isinstance(rels, _Tables):
+            vars(self).update(worlds=worlds, _index=index, _succ=rels[0], _equivalence=rels[1])
+            return
         if isinstance(rels, Mapping):
             rels = [rels.get(i, rels.get(str(i), ())) for i in range(1, self.n + 1)]
         rels = tuple(rels)
         if len(rels) != self.n:
             raise ValueError(f"expected {self.n} relations, got {len(rels)}")
-        cooked = []
-        for pairs in rels:
-            rel = set()
-            for pair in pairs:
-                w, u = pair
-                if w not in world_set or u not in world_set:
-                    raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
-                rel.add((w, u))
-            cooked.append(frozenset(rel))
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "relations", tuple(cooked))
-        index = {w: k for k, w in enumerate(worlds)}
-        succ = []
         # equal successor sets share one object, so tuples of them (the join
         # test's memo keys) compare by identity instead of element by element
         shared: dict = {}
-        for rel in cooked:
+        succ = []
+        for pairs in rels:
             table = {w: set() for w in worlds}
-            for w, u in rel:
+            for pair in pairs:
+                w, u = pair
+                if w not in index or u not in index:
+                    raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
                 table[w].add(u)
             for w, v in table.items():
                 v = frozenset(v)
                 table[w] = shared.setdefault(v, v)
             succ.append(table)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", tuple(succ))
+        vars(self).update(worlds=worlds, _index=index, _succ=tuple(succ), _equivalence=None)
+
+    def _frozen(self, name, *value):
+        raise FrozenInstanceError(f"Frame field {name!r} is read-only")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        same = isinstance(other, Frame)
+        return same and (self.n, self.worlds, self._succ) == (other.n, other.worlds, other._succ)
+
+    def __hash__(self):
+        rows = tuple(tuple(map(t.get, self.worlds)) for t in self._succ)
+        return hash((self.n, self.worlds, rows))
+
+    def __repr__(self):
+        return f"Frame(n={self.n!r}, worlds={self.worlds!r}, relations={self.relations!r})"
+
+    @functools.cached_property
+    def relations(self) -> tuple:
+        """Per agent, the frozenset of its (world, successor) pairs."""
+        return tuple(frozenset((w, u) for w in self.worlds for u in t[w]) for t in self._succ)
 
     @property
     def agents(self) -> range:
@@ -140,17 +166,11 @@ class Frame:
 
     def neighborhood(self, w) -> frozenset:
         """Worlds one step from w under any relation."""
-        out = set()
-        for table in self._succ:
-            out |= table[w]
-        return frozenset(out)
+        return frozenset().union(*(table[w] for table in self._succ))
 
     def isucc(self, w) -> frozenset:
         """Successors of w under the intersection of all relations."""
-        out = self._succ[0][w]
-        for table in self._succ[1:]:
-            out = out & table[w]
-        return out
+        return frozenset.intersection(*(table[w] for table in self._succ))
 
 
 @dataclass(frozen=True)
@@ -167,8 +187,7 @@ class Model:
     valuation: tuple
 
     def __post_init__(self):
-        raw = self.valuation
-        items = dict(raw) if not isinstance(raw, Mapping) else dict(raw)
+        items = dict(self.valuation)
         for w in items:
             if not self.frame.has_world(w):
                 raise ValueError(f"valuation references an unknown world {w!r}")
@@ -463,11 +482,9 @@ def _relation_is_equivalence(fr: Frame, i: int) -> bool:
 
 def check_equivalence(fr: Frame) -> bool:
     """True iff every relation is reflexive, symmetric, and transitive."""
-    cached = getattr(fr, "_equivalence_cache", None)
-    if cached is None:
-        cached = all(_relation_is_equivalence(fr, i) for i in fr.agents)
-        object.__setattr__(fr, "_equivalence_cache", cached)
-    return cached
+    if fr._equivalence is None:
+        vars(fr)["_equivalence"] = all(_relation_is_equivalence(fr, i) for i in fr.agents)
+    return fr._equivalence
 
 
 def check_i(fr: Frame) -> bool:
@@ -524,7 +541,7 @@ def check_wd(fr: Frame) -> bool:
 def equivalence_classes(fr: Frame, i: int) -> tuple:
     """Classes of R_i ordered by first world, each a tuple in world order."""
     fr._check_agent(i)
-    if not getattr(fr, "_equivalence_cache", False) and not _relation_is_equivalence(fr, i):
+    if not fr._equivalence and not _relation_is_equivalence(fr, i):
         raise ValueError(f"relation {i} is not an equivalence relation")
     return _group_by(fr.worlds, fr._succ[i - 1].__getitem__)
 
@@ -539,9 +556,10 @@ def _group_by(worlds, key) -> tuple:
 
 def _restrict(x: Union[Frame, Model], members: tuple) -> Union[Frame, Model]:
     # members is a connected component, so it holds every successor of its worlds
+    # and the pieces of an equivalence frame are equivalence frames
     fr = frame_of(x)
-    rels = [[(w, u) for w in members for u in table[w]] for table in fr._succ]
-    piece = Frame(fr.n, members, rels)
+    succ = tuple({w: table[w] for w in members} for table in fr._succ)
+    piece = Frame(fr.n, members, _Tables(succ, fr._equivalence or None))
     if isinstance(x, Frame):
         return piece
     return Model(piece, {w: x.atoms_at(w) for w in members})
@@ -594,10 +612,7 @@ def is_connected(x: Union[Frame, Model]) -> bool:
 def generated_submodel(m: Model, w) -> Model:
     """The connected component of m containing w; satisfaction at w is preserved."""
     m.frame.index(w)
-    for members in component_members(m):
-        if w in members:
-            return _restrict(m, members)
-    raise AssertionError("unreachable")
+    return _restrict(m, next(c for c in component_members(m) if w in c))
 
 
 def disjoint_union(a: Frame, b: Frame) -> Frame:
@@ -605,27 +620,28 @@ def disjoint_union(a: Frame, b: Frame) -> Frame:
     if a.n != b.n:
         raise ValueError(f"agent counts differ: {a.n} vs {b.n}")
     worlds = tuple((0, w) for w in a.worlds) + tuple((1, w) for w in b.worlds)
-    rels = []
+    succ = []
     for i in range(a.n):
-        pairs = {((0, w), (0, u)) for (w, u) in a.relations[i]}
-        pairs |= {((1, w), (1, u)) for (w, u) in b.relations[i]}
-        rels.append(pairs)
-    return Frame(a.n, worlds, rels)
+        table: dict = {}
+        for k, fr in ((0, a), (1, b)):
+            tagged = {s: frozenset((k, u) for u in s) for s in set(fr._succ[i].values())}
+            table.update({(k, w): tagged[fr._succ[i][w]] for w in fr.worlds})
+        succ.append(table)
+    return Frame(a.n, worlds, _Tables(tuple(succ), a._equivalence and b._equivalence or None))
 
 
 def _initial_color(x: Union[Frame, Model], pred: list, w) -> tuple:
     fr = frame_of(x)
     degrees = tuple((len(fr._succ[i][w]), len(pred[i][w])) for i in range(fr.n))
-    if isinstance(x, Model):
-        return (degrees, tuple(sorted(x.atoms_at(w))))
-    return (degrees, ())
+    return (degrees, tuple(sorted(x.atoms_at(w))) if isinstance(x, Model) else ())
 
 
 def _predecessors(fr: Frame) -> list:
     pred = [{w: set() for w in fr.worlds} for _ in range(fr.n)]
-    for i, rel in enumerate(fr.relations):
-        for w, u in rel:
-            pred[i][u].add(w)
+    for i, table in enumerate(fr._succ):
+        for w, s in table.items():
+            for u in s:
+                pred[i][u].add(w)
     return pred
 
 
@@ -653,24 +669,20 @@ def find_isomorphism(
         return None
 
     pred_a, pred_b = _predecessors(fa), _predecessors(fb)
+    sides = {"a": (fa, pred_a, a), "b": (fb, pred_b, b)}
     tagged = [("a", w) for w in fa.worlds] + [("b", w) for w in fb.worlds]
-
-    def side(tag):
-        return (fa, pred_a, a) if tag == "a" else (fb, pred_b, b)
-
-    colors = {}
-    initial = {}
-    for tag, w in tagged:
-        fr, pred, x = side(tag)
-        initial[(tag, w)] = _initial_color(x, pred, w)
-    palette = {sig: k for k, sig in enumerate(sorted(set(initial.values())))}
-    colors = {tw: palette[sig] for tw, sig in initial.items()}
-
+    signatures = {(t, w): _initial_color(sides[t][2], sides[t][1], w) for t, w in tagged}
+    colors: dict = {}
     while True:
-        signatures = {}
+        # refine until a round splits no color
+        palette = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
+        stable = len(palette) == len(set(colors.values()))
+        colors = {tw: palette[sig] for tw, sig in signatures.items()}
+        if stable:
+            break
         for tag, w in tagged:
-            fr, pred, _ = side(tag)
-            sig = (
+            fr, pred, _ = sides[tag]
+            signatures[(tag, w)] = (
                 colors[(tag, w)],
                 tuple(
                     tuple(sorted(colors[(tag, v)] for v in fr._succ[i][w]))
@@ -681,23 +693,12 @@ def find_isomorphism(
                     for i in range(fr.n)
                 ),
             )
-            signatures[(tag, w)] = sig
-        palette = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
-        refined = {tw: palette[signatures[tw]] for tw in signatures}
-        if len(set(refined.values())) == len(set(colors.values())):
-            colors = refined
-            break
-        colors = refined
 
-    buckets_a: dict = {}
-    buckets_b: dict = {}
-    for w in fa.worlds:
-        buckets_a.setdefault(colors[("a", w)], []).append(w)
-    for w in fb.worlds:
-        buckets_b.setdefault(colors[("b", w)], []).append(w)
-    if set(buckets_a) != set(buckets_b):
-        return None
-    if any(len(buckets_a[c]) != len(buckets_b[c]) for c in buckets_a):
+    buckets: dict = {"a": {}, "b": {}}
+    for (tag, w), c in colors.items():
+        buckets[tag].setdefault(c, []).append(w)
+    sizes = [{c: len(ws) for c, ws in buckets[tag].items()} for tag in "ab"]
+    if sizes[0] != sizes[1]:
         return None
 
     # worlds are indices into fa.worlds and fb.worlds; sets of b worlds are
@@ -709,7 +710,7 @@ def find_isomorphism(
         return tuple(table[k] >> k & 1 for table in tables)
 
     # a world may map to the b worlds of its color with its self-loops
-    same_color = {c: _mask(fb._index, ws) for c, ws in buckets_b.items()}
+    same_color = {c: _mask(fb._index, ws) for c, ws in buckets["b"].items()}
     same_loops: dict = {}
     for t in range(len(fb.worlds)):
         same_loops[loops(sb, t)] = same_loops.get(loops(sb, t), 0) | 1 << t
@@ -842,11 +843,13 @@ def frame_from_labels(n: int, worlds: Iterable, label) -> Frame:
     """Equivalence frame in which agent i relates two worlds iff their
     labels label(i, w) are equal."""
     worlds = tuple(worlds)
-    rels = []
+    succ = []
     for i in range(1, n + 1):
-        blocks = _group_by(worlds, functools.partial(label, i))
-        rels.append([(w, u) for block in blocks for w in block for u in block])
-    return Frame(n, worlds, rels)
+        table: dict = {}
+        for block in _group_by(worlds, functools.partial(label, i)):
+            table.update(dict.fromkeys(block, frozenset(block)))
+        succ.append(table)
+    return Frame(n, worlds, _Tables(tuple(succ), True))
 
 
 def _block_labels(worlds: tuple, blocks) -> dict:
@@ -867,29 +870,55 @@ def _block_labels(worlds: tuple, blocks) -> dict:
     return label
 
 
+def _json_object(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where} is not an object: {value!r:.80}")
+    return value
+
+
+def _json_list(value, where: str) -> list:
+    # a string would otherwise be read as its characters
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where} is not a list: {value!r:.80}")
+    return value
+
+
+def _symbols(values, where: str) -> tuple:
+    """values as a tuple of symbols; a JSON array or object cannot be one."""
+    for x in _json_list(values, where):
+        if isinstance(x, (list, dict)):
+            raise ValueError(f"symbol {x!r} in {where} is not a string or number")
+    return tuple(values)
+
+
 def frame_from_json(data: Mapping) -> Frame:
-    """Load a frame from the JSON dict form; accepts relations or partitions."""
-    n = data["n"]
-    worlds = tuple(data["worlds"])
+    """Load a frame from the JSON dict form; accepts relations or partitions.
+    A field of the wrong JSON type raises a ValueError naming it."""
+    n = _json_object(data, "frame JSON")["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"'n' is not an integer: {n!r:.80}")
+    worlds = _symbols(data["worlds"], "'worlds'")
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")
     if "partitions" in data:
-        parts = data["partitions"]
+        parts = _json_object(data["partitions"], "'partitions'")
         partitions = []
         for i in range(1, n + 1):
             blocks = parts.get(str(i), parts.get(i))
             if blocks is None:
                 raise ValueError(f"missing partition for agent {i}")
-            partitions.append(blocks)
+            where = f"a block of partition {i}"
+            partitions.append([_symbols(b, where) for b in _json_list(blocks, f"partition {i}")])
         return frame_from_partitions(n, worlds, partitions)
     if "relations" not in data:
         raise ValueError("frame JSON needs 'relations' or 'partitions'")
-    rels = data["relations"]
-    return Frame(
-        n,
-        worlds,
-        {i: [tuple(p) for p in rels.get(str(i), rels.get(i, ()))] for i in range(1, n + 1)},
-    )
+    rels = _json_object(data["relations"], "'relations'")
+    for i, pairs in rels.items():
+        for pair in _json_list(pairs, f"relation {i}"):
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                    or isinstance(pair[0], (list, dict)) or isinstance(pair[1], (list, dict))):
+                raise ValueError(f"{pair!r:.80} in relation {i} is not a pair of worlds")
+    return Frame(n, worlds, rels)
 
 
 def frame_from_partitions(n: int, worlds: Iterable, partitions) -> Frame:
@@ -910,7 +939,7 @@ def model_to_json(m: Model) -> dict:
 
 def model_from_json(data: Mapping) -> Model:
     fr = frame_from_json(data)
-    raw = data.get("valuation", {})
+    raw = _json_object(data.get("valuation", {}), "'valuation'")
     by_key = {world_key(w): w for w in fr.worlds}
     valuation = {}
     for key, names in raw.items():
@@ -930,7 +959,7 @@ def world_map_from_json(
     src_by_key = {world_key(w): w for w in frame_of(source).worlds}
     tgt_by_key = {world_key(w): w for w in frame_of(target).worlds}
     mapping = {}
-    for key, value in data["map"].items():
+    for key, value in _json_object(data["map"], "'map'").items():
         if key not in src_by_key:
             raise ValueError(f"map key {key!r} is not a source world")
         if value not in tgt_by_key:

@@ -16,6 +16,8 @@ from .kripke import (
     Frame,
     Model,
     WorldMap,
+    _json_object,
+    _symbols,
     check_d,
     check_equivalence,
     check_i,
@@ -217,17 +219,6 @@ def system_to_json(s: GlobalStateSystem) -> dict:
     }
 
 
-def _symbols(values, where: str) -> tuple:
-    """values as a tuple of symbols; a JSON array or object cannot be a
-    symbol, and a string would otherwise be read as its characters."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{where} is not a list: {values!r}")
-    for x in values:
-        if isinstance(x, (list, dict)):
-            raise ValueError(f"symbol {x!r} in {where} is not a string or number")
-    return tuple(values)
-
-
 def system_from_json(data: Mapping) -> GlobalStateSystem:
     return GlobalStateSystem(
         data["n"],
@@ -250,7 +241,7 @@ def interpreted_to_json(isys: InterpretedSystem) -> dict:
 
 def interpreted_from_json(data: Mapping) -> InterpretedSystem:
     system = system_from_json(data)
-    raw = data.get("valuation", {})
+    raw = _json_object(data.get("valuation", {}), "'valuation'")
     by_key = {world_key(state): state for state in system.states}
     valuation = {}
     for key, names in raw.items():

@@ -235,13 +235,30 @@ def pairs_from_blocks(worlds, blocks) -> set:
     return pairs
 
 
+def frame_by_label_pairs(n: int, worlds, label) -> Frame:
+    """frame_from_labels built from pairs: agent i relates every two worlds
+    whose labels label(i, w) are equal, found by comparing all pairs."""
+    worlds = list(worlds)
+    rels = []
+    for i in range(1, n + 1):
+        labelled = [(w, label(i, w)) for w in worlds]
+        rels.append({(a, b) for a, x in labelled for b, y in labelled if x == y})
+    return Frame(n, worlds, rels)
+
+
 def f_map_by_definition(s: GlobalStateSystem) -> Frame:
     """F image by comparing every pair of states."""
-    return Frame(
-        s.n,
-        s.states,
-        [{(a, b) for a in s.states for b in s.states if a[i] == b[i]} for i in s.agents],
-    )
+    return frame_by_label_pairs(s.n, s.states, lambda i, state: state[i])
+
+
+def union_by_pairs(a: Frame, b: Frame) -> Frame:
+    """disjoint_union built from the tagged relation pairs of both frames."""
+    worlds = [(0, w) for w in a.worlds] + [(1, w) for w in b.worlds]
+    rels = [
+        {((0, w), (0, u)) for w, u in ra} | {((1, w), (1, u)) for w, u in rb}
+        for ra, rb in zip(a.relations, b.relations)
+    ]
+    return Frame(a.n, worlds, rels)
 
 
 def classes_by_scan(worlds, related) -> tuple:

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import s5wd
+from s5wd import kripke
 from s5wd.broadcast import build_card_game, environment_to_json, protocol_to_json
 from s5wd.cli import main
 from s5wd.kripke import (
@@ -150,6 +151,52 @@ class TestCheck:
         assert err == "error: symbol ['a0'] in state 0 is not a string or number\n"
 
 
+# one malformed field each, loaded as a frame and as a model
+MALFORMED = [
+    ({"n": "1"}, "'n' is not an integer: '1'"),
+    ({"worlds": [["a"]]}, "symbol ['a'] in 'worlds' is not a string or number"),
+    ({"worlds": "ab"}, "'worlds' is not a list: 'ab'"),
+    ({"relations": [["a", "a"]]}, "'relations' is not an object: [['a', 'a']]"),
+    ({"partitions": [["a"]]}, "'partitions' is not an object: [['a']]"),
+    ({"relations": {"1": [["a"]]}}, "['a'] in relation 1 is not a pair of worlds"),
+    ({"relations": {"1": [["a", "a", "a"]]}},
+     "['a', 'a', 'a'] in relation 1 is not a pair of worlds"),
+    ({"valuation": ["a"]}, "'valuation' is not an object: ['a']"),
+]
+
+
+@pytest.mark.parametrize("change, message", MALFORMED)
+def test_malformed_frame_json(capsys, tmp_path, change, message):
+    data = {"n": 1, "worlds": ["a"], **change}
+    if "partitions" not in data:
+        data.setdefault("relations", {"1": [["a", "a"]]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["frame-props", "--frame", str(path)],
+                 ["validate-model", "--model", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert "Traceback" not in err
+
+
+def test_malformed_map_and_system_valuation(capsys, tmp_path):
+    frame = tmp_path / "f.json"
+    frame.write_text(json.dumps({"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}}))
+    bad_map = tmp_path / "map.json"
+    bad_map.write_text(json.dumps({"map": [["a", "a"]]}))
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(
+        {"n": 1, "env": ["e"], "locals": [["a"]], "states": [["e", "a"]], "valuation": []}
+    ))
+    cases = [
+        (["pmorph", "--map", str(bad_map), "--source", str(frame), "--target", str(frame)],
+         "'map' is not an object: [['a', 'a']]"),
+        (["f-map", "--system", str(system)], "'valuation' is not an object: []"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 class TestReports:
     def test_frame_props(self, capsys, corner_files):
         _, frame_path = corner_files
@@ -287,6 +334,28 @@ class TestConversions:
         )
         assert code == 1
         assert "identity intersection" in err
+
+    def test_from_frame_hypercube_reads_only_tables(self, capsys, monkeypatch, tmp_path):
+        # a 3 x 2 grid in the partitions form: its frames are built from
+        # labels, so no relation is scanned and no pair set is built
+        worlds = [f"{r}{c}" for r in "abc" for c in "xy"]
+        rows = [[w for w in worlds if w[0] == r] for r in "abc"]
+        columns = [[w for w in worlds if w[1] == c] for c in "xy"]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(
+            {"n": 2, "worlds": worlds, "partitions": {"1": rows, "2": columns}}
+        ))
+
+        def refuse(*args):
+            raise AssertionError("relations scanned or built")
+
+        monkeypatch.setattr(kripke, "_relation_is_equivalence", refuse)
+        monkeypatch.setattr(kripke.Frame, "relations", property(refuse))
+        code, out, err = run(
+            capsys, ["from-frame", "--frame", str(path), "--mode", "hypercube", "--format", "json"]
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["system"]["states"]) == 6
 
     def test_unpack_emits_verified_morphism(self, capsys, corner_files, tmp_path):
         _, frame_path = corner_files

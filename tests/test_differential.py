@@ -14,6 +14,7 @@ from s5wd.broadcast import (
     EPSILON,
     BroadcastEnvironment,
     generate_frame,
+    perfect_recall_state,
     trivial_protocol,
     verify_hypercube_decomposition,
 )
@@ -24,12 +25,15 @@ from s5wd.kripke import (
     Model,
     WorldMap,
     check_d,
+    check_equivalence,
     check_wd,
     connected_components,
+    disjoint_union,
     equivalence_classes,
     extension,
     find_frame_countermodel,
     find_isomorphism,
+    frame_from_json,
     frame_from_labels,
     frame_from_partitions,
     frame_of,
@@ -52,6 +56,7 @@ from helpers import (
     extension_by_sets,
     f_map_by_definition,
     find_isomorphism_by_lists,
+    frame_by_label_pairs,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
     not_full_hole_by_system,
@@ -64,6 +69,7 @@ from helpers import (
     random_i_local,
     random_model,
     random_partition,
+    union_by_pairs,
 )
 
 SEEDS = range(60)
@@ -82,11 +88,37 @@ def random_partition_frame(rng: random.Random) -> tuple:
     return n, worlds, parts
 
 
+def assert_same_frame(got: Frame, expected: Frame) -> None:
+    """got, built from successor tables, matches expected, built from pairs,
+    in equality, hash, relations, successors and equivalence verdict."""
+    assert got == expected and hash(got) == hash(expected)
+    assert got.relations == expected.relations
+    for i in expected.agents:
+        assert [got.succ(i, w) for w in got.worlds] == [
+            expected.succ(i, w) for w in expected.worlds
+        ]
+    assert check_equivalence(got) == check_equivalence(expected)
+
+
+def json_forms(fr: Frame, parts=None) -> list:
+    """fr's JSON dict in the relations form, and in the partitions form when
+    its blocks per agent are given."""
+    rels = {str(i): [[w, u] for w, u in sorted(rel)] for i, rel in enumerate(fr.relations, 1)}
+    forms = [{"n": fr.n, "worlds": list(fr.worlds), "relations": rels}]
+    if parts is not None:
+        blocks = {str(i): blocks for i, blocks in enumerate(parts, 1)}
+        forms.append({"n": fr.n, "worlds": list(fr.worlds), "partitions": blocks})
+    return forms
+
+
 def test_frame_from_partitions_matches_block_pairs():
     for seed in SEEDS:
         n, worlds, parts = random_partition_frame(random.Random(seed))
         expected = Frame(n, worlds, [pairs_from_blocks(worlds, blocks) for blocks in parts])
-        assert frame_from_partitions(n, worlds, parts) == expected
+        got = frame_from_partitions(n, worlds, parts)
+        assert_same_frame(got, expected)
+        for data in json_forms(expected, parts):
+            assert_same_frame(frame_from_json(data), expected)
 
 
 def test_classes_and_clusters_match_scan():
@@ -108,10 +140,14 @@ def test_f_map_matches_definition():
         product = list(itertools.product(*alphabets))
         states = rng.sample(product, rng.randint(1, len(product)))
         s = system_from_states(n, states)
-        assert f_map(s) == f_map_by_definition(s)
+        assert_same_frame(f_map(s), f_map_by_definition(s))
 
 
-def test_connected_components_match_pair_scan():
+def test_connected_components_match_pair_scan(monkeypatch):
+    scans = []
+    scan = kripke._relation_is_equivalence
+    monkeypatch.setattr(kripke, "_relation_is_equivalence",
+                        lambda fr, i: scans.append(i) or scan(fr, i))
     split = 0
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -123,10 +159,24 @@ def test_connected_components_match_pair_scan():
             worlds,
             [{(w, u) for w in worlds for u in worlds if rng.random() < density} for _ in range(n)],
         )
-        for x in (fr, random_model(rng, fr, ["p", "q"])):
+        labelled = random_equivalence_frame(rng, n, rng.randint(1, 6))
+        for data in json_forms(fr):
+            assert_same_frame(frame_from_json(data), fr)
+        for a, b in ((fr, labelled), (labelled, labelled), (labelled, fr)):
+            assert_same_frame(disjoint_union(a, b), union_by_pairs(a, b))
+        # a frame from pairs gets its verdict from the scan; a "no" verdict
+        # does not pass to its components, whose own verdicts may be "yes"
+        mixed = disjoint_union(fr, labelled)
+        scans.clear()
+        assert check_equivalence(mixed) == check_equivalence(fr)
+        assert scans
+        for x in (fr, random_model(rng, fr, ["p", "q"]), labelled, mixed):
             got = connected_components(x)
-            assert got == components_by_pair_scan(x)
-        split += len(got) > 1
+            expected = components_by_pair_scan(x)
+            assert got == expected
+            for (piece, _), (oracle, _) in zip(got, expected):
+                assert_same_frame(frame_of(piece), frame_of(oracle))
+        split += len(connected_components(fr)) > 1
     assert split > len(SEEDS) // 4
 
 
@@ -254,9 +304,10 @@ def random_depth_one_frame(rng: random.Random) -> Frame:
 def test_not_full_witness_matches_system_search():
     reasons = []
     for seed in SEEDS:
-        report = verify_hypercube_decomposition(
-            random_depth_one_frame(random.Random(seed)), mode="full"
-        )
+        fr = random_depth_one_frame(random.Random(seed))
+        expected = frame_by_label_pairs(fr.n, fr.worlds, lambda i, tr: perfect_recall_state(tr, i))
+        assert_same_frame(fr, expected)
+        report = verify_hypercube_decomposition(fr, mode="full")
         for c in report.components:
             hole = not_full_hole_by_system(c.members)
             assert (c.reason == "not-full") == bool(hole)

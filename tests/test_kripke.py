@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from s5wd import kripke
 from s5wd.formula import AgentIndexError, parse, wd_instance
 from s5wd.kripke import (
     BudgetError,
@@ -105,6 +106,62 @@ class TestFrameConstruction:
         a = Frame(1, ["w0", "w1"], [[("w0", "w1")]])
         b = Frame(1, ("w0", "w1"), [{("w0", "w1")}])
         assert a == b and hash(a) == hash(b)
+
+    def test_world_order_and_relations_decide_equality(self):
+        a = Frame(1, ["w0", "w1"], [[("w0", "w1")]])
+        assert a != Frame(1, ["w1", "w0"], [[("w0", "w1")]])
+        assert a != Frame(1, ["w0", "w1"], [[("w1", "w0")]])
+        assert a != Frame(2, ["w0", "w1"], [[("w0", "w1")], []])
+
+    def test_immutable(self):
+        fr = identity_frame(1, 2)
+        with pytest.raises(AttributeError):
+            fr.n = 2
+        with pytest.raises(AttributeError):
+            fr.relations = ()
+        with pytest.raises(AttributeError):
+            del fr.worlds
+
+
+class TestFrameStorage:
+    """Frames store successor tables only; relations is derived from them."""
+
+    def test_relations_built_on_first_access(self):
+        fr = frame_from_partitions(2, ["a", "b"], [[["a", "b"]], [["a"], ["b"]]])
+        assert "relations" not in vars(fr)
+        rels = fr.relations
+        assert rels == (
+            frozenset({("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}),
+            frozenset({("a", "a"), ("b", "b")}),
+        )
+        assert fr.relations is rels
+
+    def test_each_route_runs_post_init_once(self, monkeypatch):
+        built = []
+        post_init = Frame.__post_init__
+        monkeypatch.setattr(Frame, "__post_init__", lambda fr: built.append(post_init(fr)))
+        pairs = identity_frame(1, 2)
+        labels = frame_from_labels(2, ["a", "b", "c"], lambda i, w: w == "c")
+        union = disjoint_union(pairs, pairs)
+        frame_from_json({"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}})
+        frame_from_json({"n": 1, "worlds": ["a"], "partitions": {"1": [["a"]]}})
+        assert len(built) == 5
+        built.clear()
+        assert len(connected_components(labels)) == len(built) == 2
+        built.clear()
+        assert len(connected_components(union)) == len(built) == 4
+
+    def test_label_frames_are_never_scanned(self, monkeypatch):
+        def refuse(fr, i):
+            raise AssertionError("equivalence scan")
+
+        monkeypatch.setattr(kripke, "_relation_is_equivalence", refuse)
+        fr = frame_from_labels(2, ["a", "b", "c"], lambda i, w: w == "abc"[i])
+        assert check_equivalence(fr)
+        assert equivalence_classes(fr, 1) == (("a", "c"), ("b",))
+        for piece, _ in connected_components(fr):
+            assert check_equivalence(piece)
+        assert check_equivalence(disjoint_union(fr, fr))
 
 
 class TestModelConstruction:

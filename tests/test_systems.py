@@ -6,6 +6,7 @@ import pytest
 
 from s5wd import kripke
 from s5wd.kripke import (
+    Frame,
     check_d,
     check_equivalence,
     check_i,
@@ -244,7 +245,10 @@ class TestFrameToHypercube:
             assert_isomorphism(found)
 
     def test_each_relation_checked_once(self, monkeypatch):
-        fr = f_map(random_hypercube(random.Random(7), 2))
+        labelled = f_map(random_hypercube(random.Random(7), 2))
+        # built from pairs, the frame does not know its relations are
+        # equivalences; built from labels, it does and is never scanned
+        fr = Frame(labelled.n, labelled.worlds, labelled.relations)
         checked = []
         real = kripke._relation_is_equivalence
 
@@ -255,6 +259,9 @@ class TestFrameToHypercube:
         monkeypatch.setattr(kripke, "_relation_is_equivalence", counting)
         frame_to_hypercube(fr)
         assert checked == [1, 2]
+        checked.clear()
+        frame_to_hypercube(labelled)
+        assert checked == []
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="directed"):

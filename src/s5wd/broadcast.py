@@ -23,6 +23,9 @@ from .kripke import (
     BudgetError,
     Frame,
     Model,
+    _json_int,
+    _json_list,
+    _json_object,
     component_members,
     frame_from_labels,
     world_key,
@@ -711,9 +714,15 @@ def environment_to_json(e: BroadcastEnvironment) -> dict:
 
 
 def environment_from_json(data: Mapping) -> BroadcastEnvironment:
+    """Load an environment from its JSON dict form.  A document, n,
+    valuation, env_protocol or transitions of the wrong JSON type raises a
+    ValueError naming it."""
+
     def unkey(s):
         return _decode(json.loads(s))
 
+    _json_object(data, "environment JSON")
+    valuation = _json_object(data.get("valuation", {}), "'valuation'")
     kwargs = dict(
         external_actions=tuple(tuple(map(_decode, acts)) for acts in data["external_actions"]),
         internal_actions=tuple(tuple(map(_decode, acts)) for acts in data["internal_actions"]),
@@ -721,7 +730,7 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
             None if entry is None else tuple(map(_decode, entry))
             for entry in data["private_states"]
         ),
-        valuation={unkey(k): tuple(v) for k, v in data.get("valuation", {}).items()},
+        valuation={unkey(k): tuple(v) for k, v in valuation.items()},
     )
     if data.get("initial_private") is not None:
         kwargs["initial_private"] = tuple(
@@ -730,15 +739,17 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
     else:
         kwargs["initial_states"] = tuple(map(_decode, data["initial_states"]))
     if data.get("env_protocol") is not None:
-        kwargs["env_protocol"] = {
-            unkey(k): tuple(map(_decode, v)) for k, v in data["env_protocol"].items()
-        }
+        protocol = _json_object(data["env_protocol"], "'env_protocol'")
+        kwargs["env_protocol"] = {unkey(k): tuple(map(_decode, v)) for k, v in protocol.items()}
     if data.get("transitions") is not None:
         kwargs["transitions"] = tuple(
-            {unkey(k): _decode(v) for k, v in table.items()}
-            for table in data["transitions"]
+            {
+                unkey(k): _decode(v)
+                for k, v in _json_object(table, f"transition table {i}").items()
+            }
+            for i, table in enumerate(_json_list(data["transitions"], "'transitions'"))
         )
-    return BroadcastEnvironment(data["n"], **kwargs)
+    return BroadcastEnvironment(_json_int(data["n"], "'n'"), **kwargs)
 
 
 def protocol_to_json(p: JointProtocol) -> dict:
@@ -755,12 +766,14 @@ def protocol_to_json(p: JointProtocol) -> dict:
 
 
 def protocol_from_json(data: Mapping) -> JointProtocol:
+    entries = _json_list(_json_object(data, "protocol JSON")["agents"], "'agents'")
     agents = []
-    for entry in data["agents"]:
+    for i, entry in enumerate(entries, 1):
+        entry = _json_object(entry, f"the agent {i} protocol")
         if entry["kind"] == "table":
             table = {
                 _decode(json.loads(k)): tuple(map(_decode, v))
-                for k, v in entry["table"].items()
+                for k, v in _json_object(entry["table"], f"the agent {i} table").items()
             }
             agents.append(AgentProtocol("table", table))
         else:

@@ -378,87 +378,107 @@ def _cmd_broadcast_simulate(args) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="s5wd", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+_FORMULA = ("--formula", {"required": True})
+_MODEL = ("--model", {"required": True})
+_FRAME = ("--frame", {"required": True})
 
-    def add(name, func, help_text):
+# Every command once: (name, handler, help, ((flag, add_argument kwargs), ...)).
+# Each command also takes --format.  A group has handler None and a table of
+# its own subcommands in place of arguments.
+COMMANDS = (
+    ("parse", _cmd_parse, "parse a formula and report its shape", (
+        _FORMULA,
+        ("--n", {"type": int, "required": True}),
+        ("--expand-s", {"action": "store_true"}),
+    )),
+    ("check", _cmd_check, "evaluate a formula at a world of a model", (
+        _MODEL,
+        ("--world", {"required": True}),
+        _FORMULA,
+    )),
+    ("validate-model", _cmd_validate_model, "load a model and report its shape", (_MODEL,)),
+    ("frame-props", _cmd_frame_props, "report E/D/I/WD/connected for a frame", (_FRAME,)),
+    ("components", _cmd_components, "list connected components", (_FRAME,)),
+    ("iso", _cmd_iso, "search for an isomorphism between two frames or models", (
+        ("--left", {"required": True}),
+        ("--right", {"required": True}),
+        ("--max-worlds", {"type": int, "default": 12}),
+    )),
+    ("pmorph", _cmd_pmorph, "check that a world map is a p-morphism", (
+        ("--map", {"required": True}),
+        ("--source", {"required": True}),
+        ("--target", {"required": True}),
+    )),
+    ("f-map", _cmd_f_map, "frame (or model) of a system of global states", (
+        ("--system", {"required": True}),
+    )),
+    ("from-frame", _cmd_from_frame, "reconstruct a system from a frame", (
+        _FRAME,
+        ("--mode", {"choices": ("full", "hypercube"), "required": True}),
+    )),
+    ("unpack", _cmd_unpack, "unpack an equivalence frame into an EDI frame", (
+        _FRAME,
+        ("--x-size", {"type": int, "default": None}),
+    )),
+    ("filtrate", _cmd_filtrate, "filtrate a model through a formula", (_MODEL, _FORMULA)),
+    ("decide", _cmd_decide, "bounded satisfiability or validity search", (
+        _FORMULA,
+        ("--n", {"type": int, "required": True}),
+        ("--mode", {"choices": ("sat", "valid"), "required": True}),
+        ("--max-worlds", {"type": int, "required": True}),
+        ("--class", {"dest": "klass", "choices": CLASS_NAMES, "default": "ed"}),
+        ("--max-assignments", {"type": int, "default": 2**20}),
+        ("--frame-budget", {"type": int, "default": 50_000}),
+    )),
+    ("broadcast", None, "broadcast environment commands", (
+        ("simulate", _cmd_broadcast_simulate, "generate and verify a trace frame", (
+            ("--env", {"default": None}),
+            ("--card-game", {"default": None}),
+            ("--protocol", {"default": None}),
+            ("--depth", {"type": int, "required": True}),
+            ("--verify", {"choices": ("hypercube", "full"), "default": None}),
+            ("--emit-frame", {"default": None}),
+            ("--max-worlds", {"type": int, "default": 20_000}),
+        )),
+    )),
+)
+
+
+def _add_commands(parser, dest: str, table, only=None) -> None:
+    sub = parser.add_subparsers(
+        dest=dest,
+        required=True,
+        parser_class=_Parser,
+        # usage text names every command even when only one is built
+        metavar=None if only is None else "{" + ",".join(c[0] for c in table) + "}",
+    )
+    for name, handler, help_text, arguments in table:
+        if only is not None and name != only:
+            continue
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        if handler is None:
+            _add_commands(p, f"{name}_command", arguments)
+            continue
+        p.set_defaults(func=handler)
         p.add_argument("--format", choices=("json", "text"), default="text")
-        return p
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
 
-    p = add("parse", _cmd_parse, "parse a formula and report its shape")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--expand-s", action="store_true")
 
-    p = add("check", _cmd_check, "evaluate a formula at a world of a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", required=True)
-    p.add_argument("--formula", required=True)
-
-    p = add("validate-model", _cmd_validate_model, "load a model and report its shape")
-    p.add_argument("--model", required=True)
-
-    p = add("frame-props", _cmd_frame_props, "report E/D/I/WD/connected for a frame")
-    p.add_argument("--frame", required=True)
-
-    p = add("components", _cmd_components, "list connected components")
-    p.add_argument("--frame", required=True)
-
-    p = add("iso", _cmd_iso, "search for an isomorphism between two frames or models")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--max-worlds", type=int, default=12)
-
-    p = add("pmorph", _cmd_pmorph, "check that a world map is a p-morphism")
-    p.add_argument("--map", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-
-    p = add("f-map", _cmd_f_map, "frame (or model) of a system of global states")
-    p.add_argument("--system", required=True)
-
-    p = add("from-frame", _cmd_from_frame, "reconstruct a system from a frame")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--mode", choices=("full", "hypercube"), required=True)
-
-    p = add("unpack", _cmd_unpack, "unpack an equivalence frame into an EDI frame")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--x-size", type=int, default=None)
-
-    p = add("filtrate", _cmd_filtrate, "filtrate a model through a formula")
-    p.add_argument("--model", required=True)
-    p.add_argument("--formula", required=True)
-
-    p = add("decide", _cmd_decide, "bounded satisfiability or validity search")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("sat", "valid"), required=True)
-    p.add_argument("--max-worlds", type=int, required=True)
-    p.add_argument("--class", dest="klass", choices=CLASS_NAMES, default="ed")
-    p.add_argument("--max-assignments", type=int, default=2**20)
-    p.add_argument("--frame-budget", type=int, default=50_000)
-
-    p = sub.add_parser("broadcast", help="broadcast environment commands")
-    bsub = p.add_subparsers(dest="broadcast_command", required=True, parser_class=_Parser)
-    p = bsub.add_parser("simulate", help="generate and verify a trace frame")
-    p.set_defaults(func=_cmd_broadcast_simulate)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--env", default=None)
-    p.add_argument("--card-game", default=None)
-    p.add_argument("--protocol", default=None)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--verify", choices=("hypercube", "full"), default=None)
-    p.add_argument("--emit-frame", default=None)
-    p.add_argument("--max-worlds", type=int, default=20_000)
-
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The s5wd parser.  With only set to a command name, just that command's
+    subparser is built; its help, usage and error text are unchanged."""
+    parser = _Parser(prog="s5wd", description=__doc__.splitlines()[0])
+    _add_commands(parser, "command", COMMANDS, only)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # anything but a command name first (help, no command, a typo) needs the
+    # full parser for its usage and error text
+    only = argv[0] if argv and any(argv[0] == c[0] for c in COMMANDS) else None
+    parser = build_parser(only)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -471,7 +491,7 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -222,7 +222,11 @@ def decide_satisfiability(
     for fr in enumerate_frames(
         n, max_worlds, klass, connected_only=True, budget=frame_budget
     ):
-        found = find_frame_countermodel(fr, target, max_assignments=max_assignments)
+        # f's agents are checked above and every enumerated frame is an
+        # equivalence frame, so the per-frame formula checks are skipped
+        found = find_frame_countermodel(
+            fr, target, max_assignments=max_assignments, checked=True
+        )
         if found is not None:
             model, world = found
             return Verdict("satisfiable", model, world, max_worlds)

@@ -406,7 +406,7 @@ _BATCH_BITS = 12
 
 
 def find_frame_countermodel(
-    fr: Frame, f: Formula, *, max_assignments: int = 2**20
+    fr: Frame, f: Formula, *, max_assignments: int = 2**20, checked: bool = False
 ) -> Optional[tuple]:
     """First (model, world) falsifying f over valuations of f's atoms, or None.
 
@@ -417,7 +417,9 @@ def find_frame_countermodel(
     evaluated in order, 2^_BATCH_BITS at a time as bits of one int per world,
     and the witness is the lowest falsifying valuation and then the first
     world in world order.  Raises BudgetError when 2^N exceeds
-    max_assignments.
+    max_assignments.  checked=True skips the agent-range and D-operator
+    checks, for a caller that has made them for fr's agent count on an
+    equivalence frame (decide checks each query once, not once per frame).
     """
     nodes = _compile(f)
     names = sorted({arg for kind, arg, _ in nodes if kind is Atom})
@@ -428,7 +430,8 @@ def find_frame_countermodel(
         raise BudgetError(
             f"frame validity needs 2^{bits} valuations, over budget {max_assignments}"
         )
-    _check_formula(fr, f)
+    if not checked:
+        _check_formula(fr, f)
     kernel = _Kernel(fr, nodes)
     batch = min(bits, _BATCH_BITS)
     full = (1 << (1 << batch)) - 1
@@ -876,6 +879,12 @@ def _json_object(value, where: str) -> Mapping:
     return value
 
 
+def _json_int(value, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{where} is not an integer: {value!r:.80}")
+    return value
+
+
 def _json_list(value, where: str) -> list:
     # a string would otherwise be read as its characters
     if not isinstance(value, (list, tuple)):
@@ -894,9 +903,7 @@ def _symbols(values, where: str) -> tuple:
 def frame_from_json(data: Mapping) -> Frame:
     """Load a frame from the JSON dict form; accepts relations or partitions.
     A field of the wrong JSON type raises a ValueError naming it."""
-    n = _json_object(data, "frame JSON")["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"'n' is not an integer: {n!r:.80}")
+    n = _json_int(_json_object(data, "frame JSON")["n"], "'n'")
     worlds = _symbols(data["worlds"], "'worlds'")
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")

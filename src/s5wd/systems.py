@@ -16,6 +16,8 @@ from .kripke import (
     Frame,
     Model,
     WorldMap,
+    _json_int,
+    _json_list,
     _json_object,
     _symbols,
     check_d,
@@ -220,14 +222,19 @@ def system_to_json(s: GlobalStateSystem) -> dict:
 
 
 def system_from_json(data: Mapping) -> GlobalStateSystem:
+    """Load a system from its JSON dict form.  A field of the wrong JSON type
+    raises a ValueError naming it."""
     return GlobalStateSystem(
-        data["n"],
+        _json_int(_json_object(data, "system JSON")["n"], "'n'"),
         _symbols(data["env"], "env"),
         tuple(
             _symbols(alphabet, f"the agent {i} alphabet")
-            for i, alphabet in enumerate(data["locals"], 1)
+            for i, alphabet in enumerate(_json_list(data["locals"], "'locals'"), 1)
         ),
-        tuple(_symbols(state, f"state {k}") for k, state in enumerate(data["states"])),
+        tuple(
+            _symbols(state, f"state {k}")
+            for k, state in enumerate(_json_list(data["states"], "'states'"))
+        ),
     )
 
 

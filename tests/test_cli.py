@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import s5wd
-from s5wd import kripke
+from s5wd import cli, kripke
 from s5wd.broadcast import build_card_game, environment_to_json, protocol_to_json
 from s5wd.cli import main
 from s5wd.kripke import (
@@ -195,6 +195,24 @@ def test_malformed_map_and_system_valuation(capsys, tmp_path):
     ]
     for argv, message in cases:
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+SYSTEM = {"n": 1, "env": ["e"], "locals": [["a"]], "states": [["e", "a"]]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (dict(SYSTEM, n="1"), "'n' is not an integer: '1'"),
+    (dict(SYSTEM, n=True), "'n' is not an integer: True"),
+    ([SYSTEM], "system JSON is not an object: [{'n': 1,"),
+    (dict(SYSTEM, locals="a"), "'locals' is not a list: 'a'"),
+    (dict(SYSTEM, states={"e": "a"}), "'states' is not a list: {'e': 'a'}"),
+])
+def test_malformed_system_json(capsys, tmp_path, data, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["f-map", "--system", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
 
 
 class TestReports:
@@ -515,6 +533,38 @@ class TestBroadcast:
         assert code == 1
         assert "failed (missing-tuple)" in out
 
+    @pytest.mark.parametrize("change, message", [
+        ({"valuation": []}, "'valuation' is not an object: []"),
+        ({"env_protocol": []}, "'env_protocol' is not an object: []"),
+        ({"transitions": {}}, "'transitions' is not a list: {}"),
+        ({"transitions": [[]]}, "transition table 0 is not an object: []"),
+        ({"n": "2"}, "'n' is not an integer: '2'"),
+        (None, "environment JSON is not an object: [{"),
+    ])
+    def test_malformed_env_json(self, capsys, tmp_path, change, message):
+        env, _ = build_card_game(2, 1)
+        data = environment_to_json(env)
+        data = [data] if change is None else dict(data, **change)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(data))
+        argv = ["broadcast", "simulate", "--env", str(path), "--depth", "1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "protocol JSON is not an object: []"),
+        ({"agents": {}}, "'agents' is not a list: {}"),
+        ({"agents": [[]]}, "the agent 1 protocol is not an object: []"),
+        ({"agents": [{"kind": "table", "table": []}]}, "the agent 1 table is not an object: []"),
+    ])
+    def test_malformed_protocol_json(self, capsys, tmp_path, data, message):
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps(data))
+        argv = ["broadcast", "simulate", "--card-game", "deck=2,hand=1",
+                "--protocol", str(path), "--depth", "1"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
     def test_emit_frame_feeds_check(self, capsys, tmp_path):
         emitted = tmp_path / "traces.json"
         code, out, _ = run(
@@ -625,14 +675,79 @@ class TestHarness:
             assert first == second
 
 
-def test_module_invocation(capsys):
-    argv = ["parse", "--formula", "p", "--n", "1"]
-    expected = run(capsys, argv)
+# every command path, the group included
+COMMAND_PATHS = [
+    [name] for name in (
+        "parse", "check", "validate-model", "frame-props", "components", "iso", "pmorph",
+        "f-map", "from-frame", "unpack", "filtrate", "decide", "broadcast",
+    )
+] + [["broadcast", "simulate"]]
+
+
+class TestParserPerCall:
+    """main builds only the invoked command's parser; its output must match
+    the full parser's, compared in one interpreter because argparse's text
+    differs between Python versions."""
+
+    CASES = [[], ["--help"], ["-h"], ["frobnicate"], ["Decide"], ["--format", "json"],
+             ["broadcast", "frobnicate"]] + [
+        path + extra
+        for path in COMMAND_PATHS
+        for extra in ([], ["--help"], ["--format", "xml"])
+    ] + [
+        # unrecognized arguments after a complete command line are reported
+        # with the top-level usage, which must still name every command
+        ["parse", "--formula", "p", "--n", "1", "--bogus"],
+        ["decide", "--formula", "p", "--n", "1", "--mode", "sat", "--max-worlds", "1", "x"],
+        ["broadcast", "simulate", "--depth", "1", "stray"],
+        ["decide", "--formula", "p", "--n", "1", "--mode", "sat", "--max-worlds", "1"],
+        ["decide", "--formula", "p", "--n", "1", "--mode", "maybe", "--max-worlds", "1"],
+        ["decide", "--formula", "p", "--n", "one", "--mode", "sat", "--max-worlds", "1"],
+        ["from-frame", "--frame", "f.json", "--mode", "cube"],
+        ["broadcast", "simulate", "--depth", "1", "--verify", "cube"],
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_same_text_as_full_parser(self, capsys, monkeypatch, argv):
+        filtered = run(capsys, argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: build())
+        assert filtered == run(capsys, argv)
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (["decide", "--formula", "p", "--n", "1", "--mode", "sat", "--max-worlds", "1"], 2),
+        (["parse", "--help"], 2),
+        (["broadcast", "simulate", "--help"], 3),
+        (["--help"], 15),
+        (["frobnicate"], 15),
+    ])
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        main(argv)
+        assert len(built) == parsers
+
+
+def test_module_invocation(capsys, monkeypatch):
     src = os.path.dirname(os.path.dirname(os.path.abspath(s5wd.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "s5wd.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert (done.returncode, done.stdout, done.stderr) == expected
-    assert done.stdout.startswith("formula: p\n")
+    # main(None) reads sys.argv, as the module entry point does
+    for argv, head in (
+        (["parse", "--formula", "p", "--n", "1"], "formula: p\n"),
+        ([], "usage: s5wd [-h]"),
+        (["decide", "--help"], "usage: s5wd decide [-h]"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["s5wd", *argv])
+        expected = run(capsys, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "s5wd.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected
+        assert (done.stdout + done.stderr).startswith(head)

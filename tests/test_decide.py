@@ -181,6 +181,18 @@ class TestDecideSatisfiability:
         with pytest.raises(AgentIndexError):
             decide_satisfiability(Box(3, Atom("p")), 2, 2)
 
+    def test_formula_checked_once_per_query(self, monkeypatch):
+        expected = decide_satisfiability(Not(catach_instance()), 2, 3, klass="e")
+        calls = []
+        monkeypatch.setattr(kripke, "_check_formula", lambda *args: calls.append(args))
+        walks = []
+        subformulas = decide.subformulas
+        monkeypatch.setattr(
+            decide, "subformulas", lambda f: walks.append(f) or subformulas(f)
+        )
+        assert decide_satisfiability(Not(catach_instance()), 2, 3, klass="e") == expected
+        assert (calls, len(walks)) == ([], 1)
+
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             decide_satisfiability(parse("p", 1), 1, 0)

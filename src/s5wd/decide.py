@@ -222,11 +222,7 @@ def decide_satisfiability(
     for fr in enumerate_frames(
         n, max_worlds, klass, connected_only=True, budget=frame_budget
     ):
-        # f's agents are checked above and every enumerated frame is an
-        # equivalence frame, so the per-frame formula checks are skipped
-        found = find_frame_countermodel(
-            fr, target, max_assignments=max_assignments, checked=True
-        )
+        found = find_frame_countermodel(fr, target, max_assignments=max_assignments)
         if found is not None:
             model, world = found
             return Verdict("satisfiable", model, world, max_worlds)

@@ -30,8 +30,6 @@ from .formula import (
     Or,
     Some,
     children,
-    has_node,
-    subformulas,
 )
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -279,11 +277,13 @@ class MorphismReport:
         return f"{self.clause} fails at {self.witness!r}"
 
 
-def _check_formula(fr: Frame, f: Formula) -> None:
-    for g in subformulas(f):
-        if isinstance(g, (Box, Diamond)):
-            fr._check_agent(g.agent)
-    if has_node(f, Dist) and not check_equivalence(fr):
+def _check_nodes(fr: Frame, nodes: list) -> None:
+    """Check a compiled formula against fr: every [i]/<i> agent in range, and
+    D only on an equivalence frame."""
+    for kind, arg, _ in nodes:
+        if kind in (Box, Diamond):
+            fr._check_agent(arg)
+    if any(kind is Dist for kind, _, _ in nodes) and not check_equivalence(fr):
         raise ValueError("the D operator requires an equivalence model")
 
 
@@ -383,8 +383,8 @@ class _Kernel:
 def extension(m: Model, f: Formula) -> frozenset:
     """Worlds of m at which f holds: the kernel run on the one valuation of m."""
     fr = m.frame
-    _check_formula(fr, f)
     nodes = _compile(f)
+    _check_nodes(fr, nodes)
     truths = [m.atoms_at(w) for w in fr.worlds]
     root = _Kernel(fr, nodes).run(lambda name: [int(name in t) for t in truths], 1)
     return frozenset(w for w, x in zip(fr.worlds, root) if x)
@@ -406,7 +406,7 @@ _BATCH_BITS = 12
 
 
 def find_frame_countermodel(
-    fr: Frame, f: Formula, *, max_assignments: int = 2**20, checked: bool = False
+    fr: Frame, f: Formula, *, max_assignments: int = 2**20
 ) -> Optional[tuple]:
     """First (model, world) falsifying f over valuations of f's atoms, or None.
 
@@ -417,9 +417,7 @@ def find_frame_countermodel(
     evaluated in order, 2^_BATCH_BITS at a time as bits of one int per world,
     and the witness is the lowest falsifying valuation and then the first
     world in world order.  Raises BudgetError when 2^N exceeds
-    max_assignments.  checked=True skips the agent-range and D-operator
-    checks, for a caller that has made them for fr's agent count on an
-    equivalence frame (decide checks each query once, not once per frame).
+    max_assignments.
     """
     nodes = _compile(f)
     names = sorted({arg for kind, arg, _ in nodes if kind is Atom})
@@ -430,8 +428,7 @@ def find_frame_countermodel(
         raise BudgetError(
             f"frame validity needs 2^{bits} valuations, over budget {max_assignments}"
         )
-    if not checked:
-        _check_formula(fr, f)
+    _check_nodes(fr, nodes)
     kernel = _Kernel(fr, nodes)
     batch = min(bits, _BATCH_BITS)
     full = (1 << (1 << batch)) - 1

@@ -26,7 +26,8 @@ from s5wd.kripke import (
     Model,
     MorphismReport,
     WorldMap,
-    _check_formula,
+    _check_nodes,
+    _compile,
     _initial_color,
     _predecessors,
     equivalence_classes,
@@ -315,7 +316,7 @@ def components_by_pair_scan(x) -> list:
 def extension_by_sets(m, f) -> frozenset:
     """Worlds of m at which f holds, as frozensets computed over subformulas."""
     fr = m.frame
-    _check_formula(fr, f)
+    _check_nodes(fr, _compile(f))
     all_worlds = frozenset(fr.worlds)
     memo: dict = {}
 

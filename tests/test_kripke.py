@@ -304,14 +304,13 @@ class TestFrameValidity:
         from s5wd.formula import Atom, Box
 
         fr = Frame(1, ["w0", "w1"], [[("w0", "w1")]])
-        with pytest.raises(AgentIndexError):
-            find_frame_countermodel(fr, Box(2, Atom("p")))
+        for agent in (0, 2):
+            with pytest.raises(AgentIndexError):
+                find_frame_countermodel(fr, Box(agent, Atom("p")))
         with pytest.raises(ValueError, match="requires an equivalence model"):
             find_frame_countermodel(fr, parse("D p", 1))
         with pytest.raises(BudgetError):
             find_frame_countermodel(fr, Box(2, Atom("p")), max_assignments=2)
-        # a caller that made the checks itself may skip them
-        assert find_frame_countermodel(fr, parse("D p", 1), checked=True) is not None
 
 
 class TestFrameProperties:

@@ -23,6 +23,7 @@ from .kripke import (
     BudgetError,
     Frame,
     Model,
+    _json_encoder,
     _json_int,
     _json_list,
     _json_object,
@@ -44,9 +45,8 @@ def _encode(value):
     if isinstance(value, tuple):
         return [_encode(v) for v in value]
     if isinstance(value, (set, frozenset)):
-        items = [_encode(v) for v in value]
-        items.sort(key=lambda x: json.dumps(x, separators=(",", ":")))
-        return {"set": items}
+        # member order is _key order, so _key(value) == json.dumps of this
+        return {"set": [_encode(v) for v in _sorted_tuple(value)]}
     raise TypeError(f"value is not serializable: {value!r}")
 
 
@@ -60,8 +60,8 @@ def _decode(value):
     raise ValueError(f"cannot decode value: {value!r}")
 
 
-def _key(value) -> str:
-    return json.dumps(_encode(value), separators=(",", ":"))
+# canonical key of a value: json.dumps(_encode(value)), compact, written directly
+_key = _json_encoder((tuple,), '{"set":[%s]}')
 
 
 def _sorted_tuple(values) -> tuple:
@@ -413,6 +413,14 @@ def replay_consistent(e: BroadcastEnvironment, p: JointProtocol, tr) -> bool:
     return True
 
 
+class _KeyMemo(dict):
+    """_key of each value looked up, computed on first lookup."""
+
+    def __missing__(self, value):
+        key = self[value] = _key(value)
+        return key
+
+
 def generate_frame(
     e: BroadcastEnvironment, p: JointProtocol, depth: int, *, max_worlds: int = 20_000
 ) -> Frame:
@@ -426,11 +434,12 @@ def generate_frame(
     worlds = list(level)
     if len(worlds) > max_worlds:
         raise BudgetError(f"more than {max_worlds} traces at depth 1")
+    keys = _KeyMemo()  # for this call only: many traces share joint actions
     for _ in range(depth - 1):
         nxt = []
         seen = set()
         for tr in level:
-            for joint in sorted(enabled_joint_actions(e, p, tr), key=_key):
+            for joint in sorted(enabled_joint_actions(e, p, tr), key=keys.__getitem__):
                 grown = tr + (_apply(e, tr[-1], joint),)
                 if grown not in seen:
                     seen.add(grown)
@@ -715,29 +724,35 @@ def environment_to_json(e: BroadcastEnvironment) -> dict:
 
 def environment_from_json(data: Mapping) -> BroadcastEnvironment:
     """Load an environment from its JSON dict form.  A document, n,
-    valuation, env_protocol or transitions of the wrong JSON type raises a
-    ValueError naming it."""
+    valuation, env_protocol, transitions, an alphabet or initial list, or an
+    entry of one, of the wrong JSON type raises a ValueError naming it."""
 
     def unkey(s):
         return _decode(json.loads(s))
 
+    def entries(field, nullable=False):
+        # one decoded tuple per entry of a list field
+        return tuple(
+            None if nullable and entry is None
+            else tuple(map(_decode, _json_list(entry, f"'{field}' entry {i}")))
+            for i, entry in enumerate(_json_list(data[field], f"'{field}'"))
+        )
+
     _json_object(data, "environment JSON")
     valuation = _json_object(data.get("valuation", {}), "'valuation'")
     kwargs = dict(
-        external_actions=tuple(tuple(map(_decode, acts)) for acts in data["external_actions"]),
-        internal_actions=tuple(tuple(map(_decode, acts)) for acts in data["internal_actions"]),
-        private_states=tuple(
-            None if entry is None else tuple(map(_decode, entry))
-            for entry in data["private_states"]
-        ),
-        valuation={unkey(k): tuple(v) for k, v in valuation.items()},
+        external_actions=entries("external_actions"),
+        internal_actions=entries("internal_actions"),
+        private_states=entries("private_states", nullable=True),
+        valuation={
+            unkey(k): tuple(_json_list(v, f"the valuation of state {k}"))
+            for k, v in valuation.items()
+        },
     )
     if data.get("initial_private") is not None:
-        kwargs["initial_private"] = tuple(
-            tuple(map(_decode, pool)) for pool in data["initial_private"]
-        )
+        kwargs["initial_private"] = entries("initial_private")
     else:
-        kwargs["initial_states"] = tuple(map(_decode, data["initial_states"]))
+        kwargs["initial_states"] = entries("initial_states")
     if data.get("env_protocol") is not None:
         protocol = _json_object(data["env_protocol"], "'env_protocol'")
         kwargs["env_protocol"] = {unkey(k): tuple(map(_decode, v)) for k, v in protocol.items()}

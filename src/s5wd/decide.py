@@ -29,11 +29,12 @@ from .kripke import (
     BudgetError,
     Frame,
     Model,
+    _compile,
+    _countermodel,
     check_d,
     check_equivalence,
     check_i,
     check_wd,
-    find_frame_countermodel,
     frame_from_labels,
     is_connected,
 )
@@ -218,11 +219,11 @@ def decide_satisfiability(
         raise ValueError("max_worlds must be at least 1")
     _check_agents(f, n)
     g = expand_s(f, n)
-    target = Not(g)
+    target = _compile(Not(g))
     for fr in enumerate_frames(
         n, max_worlds, klass, connected_only=True, budget=frame_budget
     ):
-        found = find_frame_countermodel(fr, target, max_assignments=max_assignments)
+        found = _countermodel(fr, target, max_assignments)
         if found is not None:
             model, world = found
             return Verdict("satisfiable", model, world, max_worlds)

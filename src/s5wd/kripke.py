@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .formula import (
@@ -39,24 +39,43 @@ class BudgetError(RuntimeError):
     """A configurable resource bound was exceeded."""
 
 
-def _plain(value):
-    """JSON-ready form of a world identifier; frozensets become sorted lists."""
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        items = [_plain(v) for v in value]
-        items.sort(key=lambda x: json.dumps(x, separators=(",", ":")))
-        return items
-    raise TypeError(f"world component is not serializable: {value!r}")
+def _json_encoder(sequences: tuple, set_form: str):
+    """An encoder of nested values to compact JSON text, as json.dumps with
+    separators=(",", ":") writes it.  Instances of the sequences types become
+    arrays, and a set becomes set_form with its members' texts, sorted as
+    strings, in place of %s.  Anything else but a string, an int, a bool or
+    None raises TypeError."""
+
+    def encode(value) -> str:
+        if isinstance(value, str):
+            return _json_string(value)
+        if isinstance(value, sequences):
+            return "[" + ",".join(map(encode, value)) + "]"
+        if isinstance(value, (set, frozenset)):
+            return set_form % ",".join(sorted(map(encode, value)))
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"value is not serializable: {value!r}")
+
+    return encode
+
+
+_world_text = _json_encoder((tuple, list), "[%s]")
 
 
 def world_key(w) -> str:
-    """Canonical string form of a world identifier, used as a JSON key."""
+    """Canonical string form of a world identifier, used as a JSON key: a
+    string is itself, anything else its compact JSON text with tuples and
+    lists as arrays and sets as arrays sorted by member text."""
     if isinstance(w, str):
         return w
-    return json.dumps(_plain(w), separators=(",", ":"))
+    return _world_text(w)
 
 
 class _Tables(NamedTuple):
@@ -419,7 +438,11 @@ def find_frame_countermodel(
     world in world order.  Raises BudgetError when 2^N exceeds
     max_assignments.
     """
-    nodes = _compile(f)
+    return _countermodel(fr, _compile(f), max_assignments)
+
+
+def _countermodel(fr: Frame, nodes: list, max_assignments: int) -> Optional[tuple]:
+    """find_frame_countermodel on an already compiled formula."""
     names = sorted({arg for kind, arg, _ in nodes if kind is Atom})
     k = len(names)
     size = len(fr.worlds)

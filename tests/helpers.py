@@ -1,5 +1,6 @@
 """Seeded random generators and shared fixtures for the test suite."""
 
+import json
 import random
 
 from s5wd.formula import (
@@ -665,3 +666,71 @@ def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):
     if not backtrack(domains):
         return None
     return WorldMap(a, b, dict(assignment))
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _tagged(value):
+    """The tagged form broadcast keys encode: tuples as lists, sets as
+    {"set": members sorted by their text}."""
+    if value is None or isinstance(value, (str, int, bool)):
+        return value
+    if isinstance(value, tuple):
+        return [_tagged(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        items = [_tagged(v) for v in value]
+        items.sort(key=_compact)
+        return {"set": items}
+    raise TypeError(f"value is not serializable: {value!r}")
+
+
+def _plain(value):
+    """The form world keys encode: tuples and lists as lists, sets as lists
+    sorted by member text."""
+    if value is None or isinstance(value, (str, int, bool)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        items = [_plain(v) for v in value]
+        items.sort(key=_compact)
+        return items
+    raise TypeError(f"world component is not serializable: {value!r}")
+
+
+def key_by_json_dumps(value) -> str:
+    """broadcast._key by building the tagged object and serializing it."""
+    return _compact(_tagged(value))
+
+
+def world_key_by_json_dumps(w) -> str:
+    """world_key by building the plain object and serializing it."""
+    return w if isinstance(w, str) else _compact(_plain(w))
+
+
+def random_nested_value(rng: random.Random, depth: int = 4):
+    """A random nested value for the canonical key encoders: strings that
+    need escaping or sort apart from their numbers, ints, bools and None,
+    tuples, lists and frozensets of mixed members, and now and then a float
+    or a dict, which the encoders reject."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return rng.choices([
+            lambda: rng.choice(["", "a", "c2", "c10", "eps", 'q"uote', "back\\slash",
+                                "tab\tnl\n", "\x00\x1f", "caf\u00e9", "\u2603", "\U0001f600"]),
+            lambda: f"c{rng.randint(0, 12)}",
+            lambda: rng.randint(-1000, 1000),
+            lambda: rng.choice([True, False, None, 0, 1, -1, 2**70]),
+            lambda: rng.choice([0.5, float("nan"), {"k": 1}, {}]),
+        ], weights=[4, 3, 3, 3, 1])[0]()
+    size = rng.randint(0, 4)
+    members = [random_nested_value(rng, depth - 1) for _ in range(size)]
+    kind = rng.choice([tuple, tuple, list, frozenset, frozenset])
+    if kind is frozenset:
+        try:
+            return frozenset(members)
+        except TypeError:  # an unhashable member
+            return tuple(members)
+    return kind(members)

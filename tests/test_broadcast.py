@@ -368,6 +368,25 @@ class TestGenerateFrame:
             fr = generate_frame(env, proto, depth)
             assert len(fr.worlds) == count
 
+    def test_joint_actions_keyed_once(self, monkeypatch):
+        env, proto = build_card_game(4, 2)
+        keyed = []
+        key = broadcast._key
+        monkeypatch.setattr(broadcast, "_key", lambda value: keyed.append(value) or key(value))
+        sorted_joints = []
+
+        def enabled(*args):
+            joints = enabled_joint_actions(*args)
+            sorted_joints.extend(joints)
+            return joints
+
+        monkeypatch.setattr(broadcast, "enabled_joint_actions", enabled)
+        fr = generate_frame(env, proto, 4)
+        assert len(fr.worlds) == 468
+        # each distinct joint action once, although traces share them
+        assert Counter(keyed) == Counter(set(sorted_joints))
+        assert len(sorted_joints) > 10 * len(keyed)
+
     def test_small_card_game_components(self):
         env, proto = build_card_game(2, 1)
         fr = generate_frame(env, proto, 2)

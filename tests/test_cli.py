@@ -540,6 +540,16 @@ class TestBroadcast:
         ({"transitions": [[]]}, "transition table 0 is not an object: []"),
         ({"n": "2"}, "'n' is not an integer: '2'"),
         (None, "environment JSON is not an object: [{"),
+        ({"external_actions": "abc"}, "'external_actions' is not a list: 'abc'"),
+        ({"internal_actions": [["eps"], "eps", ["eps"]]},
+         "'internal_actions' entry 1 is not a list: 'eps'"),
+        ({"private_states": [None, "xy", ["a"]]}, "'private_states' entry 1 is not a list: 'xy'"),
+        ({"initial_private": [["1"], "ab", []]}, "'initial_private' entry 1 is not a list: 'ab'"),
+        ({"initial_private": None, "initial_states": ["ab"]},
+         "'initial_states' entry 0 is not a list: 'ab'"),
+        ({"valuation": {'[["eps","eps","eps"],["1",{"set":["c0"]},{"set":["c0"]}]]': "pq"}},
+         'the valuation of state [["eps","eps","eps"],["1",{"set":["c0"]},{"set":["c0"]}]]'
+         " is not a list: 'pq'"),
     ])
     def test_malformed_env_json(self, capsys, tmp_path, change, message):
         env, _ = build_card_game(2, 1)

@@ -195,6 +195,18 @@ class TestDecideSatisfiability:
         assert decide_satisfiability(Not(catach_instance()), 2, 3, klass="e") == expected
         assert len(walks) == 1
 
+    def test_target_compiled_once_per_query(self, monkeypatch):
+        expected = decide_satisfiability(Not(catach_instance()), 2, 3, klass="e")
+        compiled, frames = [], []
+        compile_, countermodel = kripke._compile, kripke._countermodel
+        for module in (decide, kripke):
+            monkeypatch.setattr(module, "_compile", lambda f: compiled.append(f) or compile_(f))
+        monkeypatch.setattr(
+            decide, "_countermodel", lambda fr, *args: frames.append(fr) or countermodel(fr, *args)
+        )
+        assert decide_satisfiability(Not(catach_instance()), 2, 3, klass="e") == expected
+        assert len(compiled) == 1 and len(frames) > 1
+
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             decide_satisfiability(parse("p", 1), 1, 0)

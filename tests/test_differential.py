@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from s5wd import kripke
+from s5wd import broadcast, kripke
 from s5wd.broadcast import (
     EPSILON,
     BroadcastEnvironment,
@@ -37,6 +37,7 @@ from s5wd.kripke import (
     frame_from_labels,
     frame_from_partitions,
     frame_of,
+    world_key,
 )
 from s5wd.systems import (
     f_map,
@@ -59,6 +60,7 @@ from helpers import (
     frame_by_label_pairs,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
+    key_by_json_dumps,
     not_full_hole_by_system,
     pairs_from_blocks,
     random_equivalence_frame,
@@ -68,8 +70,10 @@ from helpers import (
     random_hypercube,
     random_i_local,
     random_model,
+    random_nested_value,
     random_partition,
     union_by_pairs,
+    world_key_by_json_dumps,
 )
 
 SEEDS = range(60)
@@ -429,3 +433,30 @@ def test_find_isomorphism_matches_list_search():
     assert outcomes.count("WorldMap") > 100
     assert outcomes.count("NoneType") > 100
     assert outcomes.count("tuple") > 50
+
+
+def encoded(fn, value):
+    """fn's text for value, or TypeError if it raised one."""
+    try:
+        return fn(value)
+    except TypeError:
+        return TypeError
+
+
+def test_canonical_keys_match_json_dumps():
+    rng = random.Random(8)
+    counts = {"text": 0, TypeError: 0, "set": 0, "list": 0, "escaped": 0}
+    for _ in range(2500):
+        value = random_nested_value(rng)
+        for fn, oracle in ((broadcast._key, key_by_json_dumps),
+                           (world_key, world_key_by_json_dumps)):
+            got = encoded(fn, value)
+            assert got == encoded(oracle, value), value
+            counts["text" if isinstance(got, str) else TypeError] += 1
+        text = encoded(world_key, value)
+        if isinstance(text, str):
+            counts["set"] += "{" in str(encoded(broadcast._key, value))
+            counts["list"] += isinstance(value, list)
+            counts["escaped"] += "\\" in text
+    # both outcomes and the interesting shapes occur often
+    assert min(counts.values()) > 100, counts

@@ -24,6 +24,7 @@ from .kripke import (
     Frame,
     Model,
     _json_encoder,
+    _json_field,
     _json_int,
     _json_list,
     _json_object,
@@ -722,20 +723,32 @@ def environment_to_json(e: BroadcastEnvironment) -> dict:
     return data
 
 
+def _action_list(value, where: str) -> tuple:
+    """A JSON list of (external, internal) action pairs, decoded."""
+    for action in _json_list(value, where):
+        if not isinstance(action, list) or len(action) != 2:
+            raise ValueError(f"action {action!r:.80} in {where} is not a pair")
+    return tuple(map(_decode, value))
+
+
 def environment_from_json(data: Mapping) -> BroadcastEnvironment:
-    """Load an environment from its JSON dict form.  A document, n,
-    valuation, env_protocol, transitions, an alphabet or initial list, or an
-    entry of one, of the wrong JSON type raises a ValueError naming it."""
+    """Load an environment from its JSON dict form.  A missing required
+    field, or a document, n, valuation, env_protocol, transitions, an
+    alphabet, initial or action list, or an entry of one, of the wrong JSON
+    type raises a ValueError naming it."""
 
     def unkey(s):
         return _decode(json.loads(s))
 
-    def entries(field, nullable=False):
+    def field(name):
+        return _json_field(data, name, "environment JSON")
+
+    def entries(name, nullable=False):
         # one decoded tuple per entry of a list field
         return tuple(
             None if nullable and entry is None
-            else tuple(map(_decode, _json_list(entry, f"'{field}' entry {i}")))
-            for i, entry in enumerate(_json_list(data[field], f"'{field}'"))
+            else tuple(map(_decode, _json_list(entry, f"'{name}' entry {i}")))
+            for i, entry in enumerate(_json_list(field(name), f"'{name}'"))
         )
 
     _json_object(data, "environment JSON")
@@ -755,7 +768,10 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
         kwargs["initial_states"] = entries("initial_states")
     if data.get("env_protocol") is not None:
         protocol = _json_object(data["env_protocol"], "'env_protocol'")
-        kwargs["env_protocol"] = {unkey(k): tuple(map(_decode, v)) for k, v in protocol.items()}
+        kwargs["env_protocol"] = {
+            unkey(k): _action_list(v, f"the 'env_protocol' actions at {k}")
+            for k, v in protocol.items()
+        }
     if data.get("transitions") is not None:
         kwargs["transitions"] = tuple(
             {
@@ -764,7 +780,7 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
             }
             for i, table in enumerate(_json_list(data["transitions"], "'transitions'"))
         )
-    return BroadcastEnvironment(_json_int(data["n"], "'n'"), **kwargs)
+    return BroadcastEnvironment(_json_int(field("n"), "'n'"), **kwargs)
 
 
 def protocol_to_json(p: JointProtocol) -> dict:
@@ -781,16 +797,18 @@ def protocol_to_json(p: JointProtocol) -> dict:
 
 
 def protocol_from_json(data: Mapping) -> JointProtocol:
-    entries = _json_list(_json_object(data, "protocol JSON")["agents"], "'agents'")
+    entries = _json_list(_json_field(data, "agents", "protocol JSON"), "'agents'")
     agents = []
     for i, entry in enumerate(entries, 1):
-        entry = _json_object(entry, f"the agent {i} protocol")
-        if entry["kind"] == "table":
+        where = f"the agent {i} protocol"
+        kind = _json_field(entry, "kind", where)
+        if kind == "table":
+            raw = _json_object(_json_field(entry, "table", where), f"the agent {i} table")
             table = {
-                _decode(json.loads(k)): tuple(map(_decode, v))
-                for k, v in _json_object(entry["table"], f"the agent {i} table").items()
+                _decode(json.loads(k)): _action_list(v, f"the agent {i} table actions at {k}")
+                for k, v in raw.items()
             }
             agents.append(AgentProtocol("table", table))
         else:
-            agents.append(AgentProtocol(entry["kind"]))
+            agents.append(AgentProtocol(kind))
     return JointProtocol(tuple(agents))

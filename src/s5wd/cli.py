@@ -378,13 +378,15 @@ def _cmd_broadcast_simulate(args) -> int:
     return code
 
 
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 _FORMULA = ("--formula", {"required": True})
 _MODEL = ("--model", {"required": True})
 _FRAME = ("--frame", {"required": True})
 
 # Every command once: (name, handler, help, ((flag, add_argument kwargs), ...)).
-# Each command also takes --format.  A group has handler None and a table of
-# its own subcommands in place of arguments.
+# Each command also takes _FORMAT.  A group has handler None and a table of its
+# own subcommands in place of arguments.  build_parser and _read_plain both
+# read this table, so no flag is described twice.
 COMMANDS = (
     ("parse", _cmd_parse, "parse a formula and report its shape", (
         _FORMULA,
@@ -444,45 +446,80 @@ COMMANDS = (
 )
 
 
-def _add_commands(parser, dest: str, table, only=None) -> None:
-    sub = parser.add_subparsers(
-        dest=dest,
-        required=True,
-        parser_class=_Parser,
-        # usage text names every command even when only one is built
-        metavar=None if only is None else "{" + ",".join(c[0] for c in table) + "}",
-    )
+def _add_commands(parser, dest: str, table) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Parser)
     for name, handler, help_text, arguments in table:
-        if only is not None and name != only:
-            continue
         p = sub.add_parser(name, help=help_text)
         if handler is None:
             _add_commands(p, f"{name}_command", arguments)
             continue
         p.set_defaults(func=handler)
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        for flag, kwargs in arguments:
+        for flag, kwargs in (_FORMAT, *arguments):
             p.add_argument(flag, **kwargs)
 
 
-def build_parser(only=None) -> argparse.ArgumentParser:
-    """The s5wd parser.  With only set to a command name, just that command's
-    subparser is built; its help, usage and error text are unchanged."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full s5wd parser; main needs it only for lines _read_plain leaves."""
     parser = _Parser(prog="s5wd", description=__doc__.splitlines()[0])
-    _add_commands(parser, "command", COMMANDS, only)
+    _add_commands(parser, "command", COMMANDS)
     return parser
+
+
+def _read_plain(argv):
+    """The namespace build_parser().parse_args(argv) would return, when argv
+    is a command path from COMMANDS followed by exact --flag value pairs (a
+    store_true flag takes no value), each flag at most once, every value of
+    its type and choices, no required flag missing and no token left over.
+    Anything else gives None and is left to argparse, which alone writes
+    help, usage and error text."""
+    args = argparse.Namespace()
+    tokens = iter(argv)
+    dest, table, handler = "command", COMMANDS, None
+    while handler is None:
+        name = next(tokens, None)
+        entry = next((c for c in table if c[0] == name), None)
+        if entry is None:
+            return None
+        name, handler, _, arguments = entry
+        setattr(args, dest, name)
+        dest, table = f"{name}_command", arguments
+    flags = dict((_FORMAT, *arguments))
+    given = {}
+    for flag in tokens:
+        kwargs = flags.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as a flag
+        if value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        given[flag] = value
+    for flag, kwargs in flags.items():
+        if flag not in given and kwargs.get("required"):
+            return None
+        unset = False if kwargs.get("action") == "store_true" else None
+        value = given.get(flag, kwargs.get("default", unset))
+        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), value)
+    args.func = handler
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # anything but a command name first (help, no command, a typo) needs the
-    # full parser for its usage and error text
-    only = argv[0] if argv and any(argv[0] == c[0] for c in COMMANDS) else None
-    parser = build_parser(only)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:

@@ -492,13 +492,16 @@ def valid_on_frame(fr: Frame, f: Formula, *, max_assignments: int = 2**20) -> bo
 
 
 def _relation_is_equivalence(fr: Frame, i: int) -> bool:
+    """Reflexive, and every member of a successor set has that same set.
+    Each distinct set object is checked once; members usually share it, so
+    identity settles most comparisons."""
     table = fr._succ[i - 1]
-    for w in fr.worlds:
-        s = table[w]
-        if w not in s:
-            return False
+    if not all(w in table[w] for w in fr.worlds):
+        return False
+    for s in {id(s): s for s in table.values()}.values():
         for u in s:
-            if table[u] != s:
+            t = table[u]
+            if t is not s and t != s:
                 return False
     return True
 
@@ -899,6 +902,14 @@ def _json_object(value, where: str) -> Mapping:
     return value
 
 
+def _json_field(data, name: str, where: str):
+    """data[name], data being the JSON object that where names."""
+    try:
+        return _json_object(data, where)[name]
+    except KeyError:
+        raise ValueError(f"{where} lacks the required field {name!r}") from None
+
+
 def _json_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{where} is not an integer: {value!r:.80}")
@@ -922,9 +933,10 @@ def _symbols(values, where: str) -> tuple:
 
 def frame_from_json(data: Mapping) -> Frame:
     """Load a frame from the JSON dict form; accepts relations or partitions.
-    A field of the wrong JSON type raises a ValueError naming it."""
-    n = _json_int(_json_object(data, "frame JSON")["n"], "'n'")
-    worlds = _symbols(data["worlds"], "'worlds'")
+    A missing required field or a field of the wrong JSON type raises a
+    ValueError naming it."""
+    n = _json_int(_json_field(data, "n", "frame JSON"), "'n'")
+    worlds = _symbols(_json_field(data, "worlds", "frame JSON"), "'worlds'")
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")
     if "partitions" in data:
@@ -986,7 +998,7 @@ def world_map_from_json(
     src_by_key = {world_key(w): w for w in frame_of(source).worlds}
     tgt_by_key = {world_key(w): w for w in frame_of(target).worlds}
     mapping = {}
-    for key, value in _json_object(data["map"], "'map'").items():
+    for key, value in _json_object(_json_field(data, "map", "world map JSON"), "'map'").items():
         if key not in src_by_key:
             raise ValueError(f"map key {key!r} is not a source world")
         if value not in tgt_by_key:

@@ -16,6 +16,7 @@ from .kripke import (
     Frame,
     Model,
     WorldMap,
+    _json_field,
     _json_int,
     _json_list,
     _json_object,
@@ -222,18 +223,22 @@ def system_to_json(s: GlobalStateSystem) -> dict:
 
 
 def system_from_json(data: Mapping) -> GlobalStateSystem:
-    """Load a system from its JSON dict form.  A field of the wrong JSON type
-    raises a ValueError naming it."""
+    """Load a system from its JSON dict form.  A missing required field or a
+    field of the wrong JSON type raises a ValueError naming it."""
+
+    def field(name):
+        return _json_field(data, name, "system JSON")
+
     return GlobalStateSystem(
-        _json_int(_json_object(data, "system JSON")["n"], "'n'"),
-        _symbols(data["env"], "env"),
+        _json_int(field("n"), "'n'"),
+        _symbols(field("env"), "env"),
         tuple(
             _symbols(alphabet, f"the agent {i} alphabet")
-            for i, alphabet in enumerate(_json_list(data["locals"], "'locals'"), 1)
+            for i, alphabet in enumerate(_json_list(field("locals"), "'locals'"), 1)
         ),
         tuple(
             _symbols(state, f"state {k}")
-            for k, state in enumerate(_json_list(data["states"], "'states'"))
+            for k, state in enumerate(_json_list(field("states"), "'states'"))
         ),
     )
 

@@ -144,6 +144,19 @@ def random_frame(rng: random.Random, n: int, size: int, density: float = 0.4) ->
     return Frame(n, worlds, rels)
 
 
+def equivalence_by_pairs(fr: Frame) -> bool:
+    """Reflexivity, symmetry and transitivity read off the pair sets."""
+    for rel in fr.relations:
+        succ: dict = {}
+        for w, u in rel:
+            succ.setdefault(w, set()).add(u)
+        if any((w, w) not in rel for w in fr.worlds):
+            return False
+        if any((u, w) not in rel or not succ[u] <= succ[w] for w, u in rel):
+            return False
+    return True
+
+
 def missing_corner_model() -> Model:
     """Three-world equivalence model falsifying <1>[2]p -> [2]<1>p at w0.
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -213,6 +214,33 @@ def test_malformed_system_json(capsys, tmp_path, data, message):
     code, out, err = run(capsys, ["f-map", "--system", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}")
+
+
+FRAME = {"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}}
+CARD_ENV = environment_to_json(build_card_game(2, 1)[0])
+SIMULATE = ["broadcast", "simulate", "--depth", "1"]
+
+
+# one loader each; the file is the last argument, and {frame} a valid frame
+@pytest.mark.parametrize("argv, data, message", [
+    (["frame-props", "--frame"], {"worlds": ["a"]}, "frame JSON lacks the required field 'n'"),
+    (["validate-model", "--model"], {"n": 1, "valuation": {}},
+     "frame JSON lacks the required field 'worlds'"),
+    (["f-map", "--system"], {k: v for k, v in SYSTEM.items() if k != "states"},
+     "system JSON lacks the required field 'states'"),
+    (SIMULATE + ["--env"], {k: v for k, v in CARD_ENV.items() if k != "internal_actions"},
+     "environment JSON lacks the required field 'internal_actions'"),
+    (SIMULATE + ["--card-game", "deck=2,hand=1", "--protocol"], {"agents": [{"table": {}}]},
+     "the agent 1 protocol lacks the required field 'kind'"),
+    (["pmorph", "--source", "{frame}", "--target", "{frame}", "--map"], {"mapping": {}},
+     "world map JSON lacks the required field 'map'"),
+])
+def test_missing_required_field(capsys, tmp_path, argv, data, message):
+    frame, path = tmp_path / "frame.json", tmp_path / "bad.json"
+    frame.write_text(json.dumps(FRAME))
+    path.write_text(json.dumps(data))
+    argv = [str(frame) if token == "{frame}" else token for token in argv] + [str(path)]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
 
 class TestReports:
@@ -550,6 +578,8 @@ class TestBroadcast:
         ({"valuation": {'[["eps","eps","eps"],["1",{"set":["c0"]},{"set":["c0"]}]]': "pq"}},
          'the valuation of state [["eps","eps","eps"],["1",{"set":["c0"]},{"set":["c0"]}]]'
          " is not a list: 'pq'"),
+        ({"env_protocol": {'[["eps","eps","eps"],"1"]': "ab"}},
+         """the 'env_protocol' actions at [["eps","eps","eps"],"1"] is not a list: 'ab'"""),
     ])
     def test_malformed_env_json(self, capsys, tmp_path, change, message):
         env, _ = build_card_game(2, 1)
@@ -567,6 +597,11 @@ class TestBroadcast:
         ({"agents": {}}, "'agents' is not a list: {}"),
         ({"agents": [[]]}, "the agent 1 protocol is not an object: []"),
         ({"agents": [{"kind": "table", "table": []}]}, "the agent 1 table is not an object: []"),
+        ({"agents": [{"kind": "table", "table": {'[["eps","eps","eps"],{"set":["c0"]}]': "ab"}}]},
+         """the agent 1 table actions at [["eps","eps","eps"],{"set":["c0"]}] is not a list: 'ab'"""),
+        ({"agents": [{"kind": "table", "table": {'[["eps","eps","eps"],{"set":[]}]': ["ab"]}}]},
+         """action 'ab' in the agent 1 table actions at [["eps","eps","eps"],{"set":[]}]"""
+         " is not a pair"),
     ])
     def test_malformed_protocol_json(self, capsys, tmp_path, data, message):
         path = tmp_path / "proto.json"
@@ -694,10 +729,71 @@ COMMAND_PATHS = [
 ] + [["broadcast", "simulate"]]
 
 
+def sweep_line(rng: random.Random, path: list) -> list:
+    """A command line for path: its required flags and some others with
+    fitting values, in random order, then up to two seeded defects of the
+    kinds that must be left to argparse."""
+    table = cli.COMMANDS
+    for name in path:
+        _, handler, _, arguments = next(c for c in table if c[0] == name)
+        table = arguments
+    if handler is None:  # a group alone: borrow its first command's flags
+        arguments = arguments[0][3]
+    flags = dict((cli._FORMAT, *arguments))
+
+    def value(kwargs):
+        if "choices" in kwargs:
+            return rng.choice(kwargs["choices"])
+        if kwargs.get("type") is int:
+            return rng.choice(["1", "2"])
+        return rng.choice(["p", "deck=2,hand=1", "missing.json", "out.json", ""])
+
+    pairs = [
+        [flag] if kwargs.get("action") == "store_true" else [flag, value(kwargs)]
+        for flag, kwargs in flags.items()
+        if kwargs.get("required") or rng.random() < 0.5
+    ]
+    rng.shuffle(pairs)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        defect = rng.randrange(12)
+        flag = rng.choice(list(flags))
+        held = [k for k, pair in enumerate(pairs) if len(pair) == 2]
+        if defect == 0:  # abbreviated flag
+            flag = rng.choice([f for f in flags if len(f) > 3])
+            pairs.append([flag[:rng.randint(3, len(flag) - 1)], value(flags[flag])])
+        elif defect == 1 and held:  # --flag=value
+            k = rng.choice(held)
+            pairs[k] = ["=".join(pairs[k])]
+        elif defect == 2:
+            pairs.insert(rng.randint(0, len(pairs)), [rng.choice(("-h", "--help", "--"))])
+        elif defect == 3 and held:  # a value that starts with '-'
+            rng.choice([pairs[k] for k in held])[1] = rng.choice(("-1", "-p", "--n"))
+        elif defect == 4 and held:
+            rng.choice([pairs[k] for k in held])[1] = ""
+        elif defect == 5 and pairs:  # repeated flag
+            pairs.append(list(rng.choice(pairs)))
+        elif defect == 6 and held:  # bad int or choice
+            rng.choice([pairs[k] for k in held])[1] = rng.choice(("one", "1.5", "cube"))
+        elif defect == 7 and pairs:  # a flag dropped, required or not
+            pairs.pop(rng.randrange(len(pairs)))
+        elif defect == 8 and pairs:  # a missing value at the end
+            pairs[-1] = pairs[-1][:1]
+        elif defect == 9:  # a value after a store_true flag, or a stray token
+            pairs.append(["--expand-s", "yes"] if "--expand-s" in flags else ["stray"])
+        elif defect == 10:
+            pairs.insert(rng.randint(0, len(pairs)), ["--bogus", "1"])
+        elif defect == 11:  # a negative int
+            pairs.append([flag, "-2"])
+    return path + [token for pair in pairs for token in pair]
+
+
 class TestParserPerCall:
-    """main builds only the invoked command's parser; its output must match
-    the full parser's, compared in one interpreter because argparse's text
-    differs between Python versions."""
+    """main reads a plain command line with cli._read_plain and leaves every
+    other line to the full argparse parser.  Argparse is the oracle: the
+    reader's namespace must equal parse_args's, and main's stdout, stderr and
+    exit code must equal those of main with the reader switched off, compared
+    in one interpreter because argparse's text differs between Python
+    versions."""
 
     CASES = [[], ["--help"], ["-h"], ["frobnicate"], ["Decide"], ["--format", "json"],
              ["broadcast", "frobnicate"]] + [
@@ -717,19 +813,43 @@ class TestParserPerCall:
         ["broadcast", "simulate", "--depth", "1", "--verify", "cube"],
     ]
 
+    @staticmethod
+    def assert_same_as_full_parser(capsys, monkeypatch, argv) -> bool:
+        """Both checks on argv; True when the reader took the line."""
+        plain = cli._read_plain(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli.build_parser().parse_args(argv))
+        got = run(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_plain", lambda argv: None)
+            assert got == run(capsys, argv)
+        return plain is not None
+
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "no-args")
     def test_same_text_as_full_parser(self, capsys, monkeypatch, argv):
-        filtered = run(capsys, argv)
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda only=None: build())
-        assert filtered == run(capsys, argv)
+        self.assert_same_as_full_parser(capsys, monkeypatch, argv)
+
+    @pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+    def test_seeded_sweep(self, capsys, monkeypatch, tmp_path, path):
+        monkeypatch.chdir(tmp_path)  # --emit-frame out.json writes here
+        rng = random.Random(" ".join(path))
+        read = [
+            self.assert_same_as_full_parser(capsys, monkeypatch, sweep_line(rng, path))
+            for _ in range(40)
+        ]
+        assert not all(read)
+        # a group alone is never a plain line
+        assert any(read) == (path != ["broadcast"])
 
     @pytest.mark.parametrize("argv, parsers", [
-        (["decide", "--formula", "p", "--n", "1", "--mode", "sat", "--max-worlds", "1"], 2),
-        (["parse", "--help"], 2),
-        (["broadcast", "simulate", "--help"], 3),
+        (["decide", "--formula", "p", "--n", "1", "--mode", "sat", "--max-worlds", "1"], 0),
+        (["parse", "--help"], 15),
+        (["broadcast", "simulate", "--help"], 15),
         (["--help"], 15),
         (["frobnicate"], 15),
+        # forms argparse reads its own way are left to it
+        (["parse", "--formula=p", "--n", "1"], 15),
+        (["parse", "--formula", "p", "--n", "1", "--n", "2"], 15),
     ])
     def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
         built = []
@@ -750,6 +870,7 @@ def test_module_invocation(capsys, monkeypatch):
     # main(None) reads sys.argv, as the module entry point does
     for argv, head in (
         (["parse", "--formula", "p", "--n", "1"], "formula: p\n"),
+        (["parse", "--formula=p", "--n", "1"], "formula: p\n"),
         ([], "usage: s5wd [-h]"),
         (["decide", "--help"], "usage: s5wd decide [-h]"),
     ):

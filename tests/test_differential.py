@@ -54,6 +54,7 @@ from helpers import (
     components_by_pair_scan,
     countermodel_by_valuation,
     enumerate_frames_pairwise,
+    equivalence_by_pairs,
     extension_by_sets,
     f_map_by_definition,
     find_isomorphism_by_lists,
@@ -145,6 +146,34 @@ def test_f_map_matches_definition():
         states = rng.sample(product, rng.randint(1, len(product)))
         s = system_from_states(n, states)
         assert_same_frame(f_map(s), f_map_by_definition(s))
+
+
+def test_equivalence_scan_matches_pair_definition():
+    frames, perturbed = [], []
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        labelled = random_equivalence_frame(rng, n, rng.randint(1, 8))
+        frames.append(Frame(n, labelled.worlds, labelled.relations))
+        frames.append(random_frame(rng, n, rng.randint(1, 4), rng.choice((0.3, 0.7, 0.95))))
+        # one pair dropped or added breaks reflexivity, symmetry or
+        # transitivity: two worlds of one class are already related
+        rels = [set(rel) for rel in labelled.relations]
+        rel = rng.choice(rels)
+        pair = (rng.choice(labelled.worlds), rng.choice(labelled.worlds))
+        (rel.discard if pair in rel else rel.add)(pair)
+        perturbed.append(Frame(n, labelled.worlds, rels))
+    # equal successor sets that are distinct objects compare by value
+    ab, ab_copy = frozenset("ab"), frozenset(["a", "b"])
+    for table, verdict in (({"a": ab, "b": ab_copy}, True),
+                           ({"a": ab, "b": frozenset("b")}, False)):
+        fr = Frame(1, "abc", kripke._Tables(({**table, "c": frozenset("c")},), None))
+        assert check_equivalence(fr) is verdict
+        frames.append(fr)
+    for fr in frames + perturbed:
+        assert check_equivalence(fr) == equivalence_by_pairs(fr)
+    assert not any(map(check_equivalence, perturbed))
+    assert 0 < sum(map(check_equivalence, frames)) < len(frames)
 
 
 def test_connected_components_match_pair_scan(monkeypatch):

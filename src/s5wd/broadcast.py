@@ -11,6 +11,7 @@ equal perfect-recall observation sequences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -69,6 +70,16 @@ def _sorted_tuple(values) -> tuple:
     return tuple(sorted(values, key=_key))
 
 
+def _sorted_table(entries, entry) -> tuple:
+    """entries, a mapping or (key, value) pairs, as (key, value) pairs sorted
+    by _key of the key; entry(key, value) checks and normalises one pair, and
+    a later pair with the same key wins."""
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    return tuple(sorted(
+        dict(entry(k, v) for k, v in items).items(), key=lambda kv: _key(kv[0])
+    ))
+
+
 @dataclass(frozen=True)
 class BroadcastEnvironment:
     """A broadcast environment for agents 0..n.
@@ -79,8 +90,8 @@ class BroadcastEnvironment:
     checks for that agent.  Give either initial_private (per-agent initial
     private states; the initial set is their full product, which makes the
     environment homogeneous) or an explicit initial_states list.  env_protocol
-    maps agent-0 observations to action pairs; None means the passive
-    protocol {(EPSILON, EPSILON)}.  transitions is one table per agent keyed
+    is agent 0's AgentProtocol table from observations to action pairs; None
+    means the passive protocol {(EPSILON, EPSILON)}.  transitions is one table per agent keyed
     by (joint external action, internal action, private state); None means
     private states never change.  valuation maps states to atom names.
     """
@@ -104,15 +115,7 @@ class BroadcastEnvironment:
             if EPSILON not in acts:
                 raise ValueError(f"external actions of agent {i} lack {EPSILON!r}")
         internal = self._norm_alphabets(self.internal_actions, "internal_actions")
-        if len(self.private_states) != width:
-            raise ValueError(f"private_states must have {width} entries")
-        private = tuple(
-            None if entry is None else _sorted_tuple(set(entry))
-            for entry in self.private_states
-        )
-        for i, entry in enumerate(private):
-            if entry is not None and not entry:
-                raise ValueError(f"agent {i} has no private states")
+        private = self._norm_alphabets(self.private_states, "private_states", True)
         object.__setattr__(self, "external_actions", ext)
         object.__setattr__(self, "internal_actions", internal)
         object.__setattr__(self, "private_states", private)
@@ -121,12 +124,7 @@ class BroadcastEnvironment:
             raise ValueError("give exactly one of initial_private or initial_states")
         blank = (EPSILON,) * width
         if self.initial_private is not None:
-            if len(self.initial_private) != width:
-                raise ValueError(f"initial_private must have {width} entries")
-            pools = tuple(_sorted_tuple(set(p)) for p in self.initial_private)
-            for i, pool in enumerate(pools):
-                if not pool:
-                    raise ValueError(f"agent {i} has no initial private states")
+            pools = self._norm_alphabets(self.initial_private, "initial_private")
             states = tuple((blank, combo) for combo in itertools.product(*pools))
             object.__setattr__(self, "initial_private", pools)
         else:
@@ -147,90 +145,73 @@ class BroadcastEnvironment:
                 raise ValueError(
                     "the passive environment protocol needs the null internal action"
                 )
-            proto_map = None
+            protocol = AgentProtocol("pass")
         else:
-            items = (
-                self.env_protocol.items()
-                if isinstance(self.env_protocol, Mapping)
-                else self.env_protocol
-            )
-            proto_map = {}
-            for obs, actions in items:
-                acts = _sorted_tuple(set(map(tuple, actions)))
-                if not acts:
-                    raise ValueError("environment protocol actions must be nonempty")
-                for a, b in acts:
+            protocol = AgentProtocol("table", self.env_protocol)
+            for _, actions in protocol.table:
+                for a, b in actions:
                     if a not in ext[0] or b not in internal[0]:
                         raise ValueError(f"unknown environment action {(a, b)!r}")
-                proto_map[(tuple(obs[0]), obs[1])] = acts
-            object.__setattr__(
-                self,
-                "env_protocol",
-                tuple(sorted(proto_map.items(), key=lambda kv: _key(kv[0]))),
-            )
-        object.__setattr__(self, "_proto_map", proto_map)
+            object.__setattr__(self, "env_protocol", protocol.table)
+        object.__setattr__(self, "_env_protocol", protocol)
 
         if self.transitions is None:
             tau_maps = None
         else:
             if len(self.transitions) != width:
                 raise ValueError(f"transitions must have {width} entries")
-            tau_maps = []
-            normalized = []
-            for i, table in enumerate(self.transitions):
-                entries = table.items() if isinstance(table, Mapping) else table
-                tau = {}
-                for (avec, b, p), target in entries:
-                    avec = tuple(avec)
-                    if len(avec) != width:
-                        raise ValueError("transition keys need a full joint action")
-                    for j, a in enumerate(avec):
-                        if a not in ext[j]:
-                            raise ValueError(f"unknown external action {a!r} of agent {j}")
-                    if b not in internal[i]:
-                        raise ValueError(f"unknown internal action {b!r} of agent {i}")
-                    for value in (p, target):
-                        if private[i] is not None and value not in private[i]:
-                            raise ValueError(f"unknown private state {value!r} of agent {i}")
-                    tau[(avec, b, p)] = target
-                tau_maps.append(tau)
-                normalized.append(
-                    tuple(sorted(tau.items(), key=lambda kv: _key(kv[0])))
-                )
-            object.__setattr__(self, "transitions", tuple(normalized))
+            tables = tuple(
+                _sorted_table(table, functools.partial(self._transition, i))
+                for i, table in enumerate(self.transitions)
+            )
+            object.__setattr__(self, "transitions", tables)
+            tau_maps = [dict(table) for table in tables]
         object.__setattr__(self, "_tau_maps", tau_maps)
 
-        items = (
-            self.valuation.items()
-            if isinstance(self.valuation, Mapping)
-            else self.valuation
-        )
-        val_map = {}
-        for state, atoms in items:
-            state = (tuple(state[0]), tuple(state[1]))
-            self._check_state(state)
-            names = tuple(sorted(set(atoms)))
-            for a in names:
-                if not isinstance(a, str) or not _ATOM_RE.fullmatch(a):
-                    raise ValueError(f"bad atom name: {a!r}")
-            if names:
-                val_map[state] = names
-        object.__setattr__(
-            self,
-            "valuation",
-            tuple(sorted(val_map.items(), key=lambda kv: _key(kv[0]))),
-        )
-        object.__setattr__(self, "_val_map", val_map)
+        valuation = tuple(kv for kv in _sorted_table(self.valuation, self._labels) if kv[1])
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "_val_map", dict(valuation))
         object.__setattr__(self, "_initial_set", frozenset(self.initial_states))
 
-    def _norm_alphabets(self, entries, label) -> tuple:
+    def _norm_alphabets(self, entries, label, nullable=False) -> tuple:
+        # a None entry, where nullable, stays None: that agent goes unchecked
         if len(entries) != self.n + 1:
             raise ValueError(f"{label} must have {self.n + 1} entries")
-        out = tuple(_sorted_tuple(set(entry)) for entry in entries)
+        out = tuple(
+            None if nullable and entry is None else _sorted_tuple(set(entry))
+            for entry in entries
+        )
         for i, entry in enumerate(out):
-            if not entry:
+            if entry == ():
                 raise ValueError(f"{label} of agent {i} is empty")
         return out
+
+    def _transition(self, i, key, target) -> tuple:
+        """One checked entry of agent i's transition table."""
+        avec, b, p = key
+        avec = tuple(avec)
+        if len(avec) != self.n + 1:
+            raise ValueError("transition keys need a full joint action")
+        for j, a in enumerate(avec):
+            if a not in self.external_actions[j]:
+                raise ValueError(f"unknown external action {a!r} of agent {j}")
+        if b not in self.internal_actions[i]:
+            raise ValueError(f"unknown internal action {b!r} of agent {i}")
+        private = self.private_states[i]
+        for value in (p, target):
+            if private is not None and value not in private:
+                raise ValueError(f"unknown private state {value!r} of agent {i}")
+        return (avec, b, p), target
+
+    def _labels(self, state, atoms) -> tuple:
+        """One checked valuation entry: a state and its sorted atom names."""
+        state = (tuple(state[0]), tuple(state[1]))
+        self._check_state(state)
+        names = tuple(sorted(set(atoms)))
+        for a in names:
+            if not isinstance(a, str) or not _ATOM_RE.fullmatch(a):
+                raise ValueError(f"bad atom name: {a!r}")
+        return state, names
 
     def _check_state(self, s) -> None:
         width = self.n + 1
@@ -275,23 +256,18 @@ class AgentProtocol:
             return
         if self.kind != "table":
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        items = (
-            self.table.items() if isinstance(self.table, Mapping) else self.table
-        )
-        table_map = {}
-        for obs, actions in items:
+
+        def entry(obs, actions):
             acts = _sorted_tuple(set(map(tuple, actions)))
             if not acts:
                 raise ValueError("protocol action sets must be nonempty")
-            table_map[(tuple(obs[0]), obs[1])] = acts
-        if not table_map:
+            return (tuple(obs[0]), obs[1]), acts
+
+        table = _sorted_table(self.table, entry)
+        if not table:
             raise ValueError("protocol table is empty")
-        object.__setattr__(
-            self,
-            "table",
-            tuple(sorted(table_map.items(), key=lambda kv: _key(kv[0]))),
-        )
-        object.__setattr__(self, "_table_map", table_map)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_table_map", dict(table))
 
     def enabled(self, obs) -> tuple:
         if self.kind == "pass":
@@ -354,27 +330,15 @@ def action_sequence(tr) -> tuple:
     return tuple(s[0] for s in tr[1:])
 
 
-def _env_enabled(e: BroadcastEnvironment, fin) -> tuple:
-    if e._proto_map is None:
-        return ((EPSILON, EPSILON),)
-    obs = observation(e, 0, fin)
-    actions = e._proto_map.get(obs)
-    if actions is None:
-        raise ValueError(f"environment protocol undefined for observation {_key(obs)}")
-    return actions
-
-
 def enabled_joint_actions(e: BroadcastEnvironment, p: JointProtocol, tr) -> frozenset:
     """All joint actions the protocols allow after the trace; a joint action
     is a length-(n+1) tuple of (external, internal) pairs."""
     if len(p.agents) != e.n:
         raise ValueError(f"protocol covers {len(p.agents)} agents, environment has {e.n}")
     fin = tr[-1]
-    per_agent = [_env_enabled(e, fin)]
-    for i in range(1, e.n + 1):
-        actions = p.agents[i - 1].enabled(observation(e, i, fin))
-        if not actions:
-            raise ValueError(f"protocol of agent {i} returned no actions")
+    per_agent = []
+    for i, protocol in enumerate((e._env_protocol, *p.agents)):
+        actions = protocol.enabled(observation(e, i, fin))
         for a, b in actions:
             if a not in e.external_actions[i] or b not in e.internal_actions[i]:
                 raise ValueError(f"protocol action {(a, b)!r} unknown to agent {i}")
@@ -692,6 +656,10 @@ def env_from_hypercube(h: GlobalStateSystem, val) -> BroadcastEnvironment:
     )
 
 
+def _action_table_json(table) -> dict:
+    return {_key(obs): [_encode(a) for a in acts] for obs, acts in table}
+
+
 def environment_to_json(e: BroadcastEnvironment) -> dict:
     data = {
         "n": e.n,
@@ -707,19 +675,12 @@ def environment_to_json(e: BroadcastEnvironment) -> dict:
         data["initial_private"] = [[_encode(p) for p in pool] for pool in e.initial_private]
     else:
         data["initial_states"] = [_encode(s) for s in e.initial_states]
-    if e.env_protocol is not None:
-        data["env_protocol"] = {
-            _key(obs): [_encode(a) for a in acts] for obs, acts in e.env_protocol
-        }
-    else:
-        data["env_protocol"] = None
-    if e.transitions is not None:
-        data["transitions"] = [
-            {_key(key): _encode(target) for key, target in table}
-            for table in e.transitions
-        ]
-    else:
-        data["transitions"] = None
+    data["env_protocol"] = (
+        None if e.env_protocol is None else _action_table_json(e.env_protocol)
+    )
+    data["transitions"] = None if e.transitions is None else [
+        {_key(key): _encode(target) for key, target in table} for table in e.transitions
+    ]
     return data
 
 
@@ -731,14 +692,27 @@ def _action_list(value, where: str) -> tuple:
     return tuple(map(_decode, value))
 
 
+def _keyed_json(value, where: str, read) -> dict:
+    """The JSON object that where names, whose keys are _key texts, as a dict
+    from each decoded key to read(entry, key text)."""
+    out = {}
+    for text, entry in _json_object(value, where).items():
+        try:
+            key = _decode(json.loads(text))
+        except (ValueError, TypeError):
+            raise ValueError(
+                f"key {text!r:.80} in {where} is not the JSON text of a value"
+            ) from None
+        out[key] = read(entry, text)
+    return out
+
+
 def environment_from_json(data: Mapping) -> BroadcastEnvironment:
     """Load an environment from its JSON dict form.  A missing required
     field, or a document, n, valuation, env_protocol, transitions, an
     alphabet, initial or action list, or an entry of one, of the wrong JSON
-    type raises a ValueError naming it."""
-
-    def unkey(s):
-        return _decode(json.loads(s))
+    type, or a table key that is not the JSON text of a value, raises a
+    ValueError naming it."""
 
     def field(name):
         return _json_field(data, name, "environment JSON")
@@ -752,48 +726,38 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
         )
 
     _json_object(data, "environment JSON")
-    valuation = _json_object(data.get("valuation", {}), "'valuation'")
     kwargs = dict(
         external_actions=entries("external_actions"),
         internal_actions=entries("internal_actions"),
         private_states=entries("private_states", nullable=True),
-        valuation={
-            unkey(k): tuple(_json_list(v, f"the valuation of state {k}"))
-            for k, v in valuation.items()
-        },
+        valuation=_keyed_json(
+            data.get("valuation", {}), "'valuation'",
+            lambda v, k: tuple(_json_list(v, f"the valuation of state {k}")),
+        ),
     )
     if data.get("initial_private") is not None:
         kwargs["initial_private"] = entries("initial_private")
     else:
         kwargs["initial_states"] = entries("initial_states")
     if data.get("env_protocol") is not None:
-        protocol = _json_object(data["env_protocol"], "'env_protocol'")
-        kwargs["env_protocol"] = {
-            unkey(k): _action_list(v, f"the 'env_protocol' actions at {k}")
-            for k, v in protocol.items()
-        }
+        kwargs["env_protocol"] = _keyed_json(
+            data["env_protocol"], "'env_protocol'",
+            lambda v, k: _action_list(v, f"the 'env_protocol' actions at {k}"),
+        )
     if data.get("transitions") is not None:
         kwargs["transitions"] = tuple(
-            {
-                unkey(k): _decode(v)
-                for k, v in _json_object(table, f"transition table {i}").items()
-            }
+            _keyed_json(table, f"transition table {i}", lambda v, k: _decode(v))
             for i, table in enumerate(_json_list(data["transitions"], "'transitions'"))
         )
     return BroadcastEnvironment(_json_int(field("n"), "'n'"), **kwargs)
 
 
 def protocol_to_json(p: JointProtocol) -> dict:
-    agents = []
-    for entry in p.agents:
-        if entry.kind == "table":
-            agents.append({
-                "kind": "table",
-                "table": {_key(obs): [_encode(a) for a in acts] for obs, acts in entry.table},
-            })
-        else:
-            agents.append({"kind": entry.kind})
-    return {"agents": agents}
+    return {"agents": [
+        {"kind": "table", "table": _action_table_json(entry.table)}
+        if entry.kind == "table" else {"kind": entry.kind}
+        for entry in p.agents
+    ]}
 
 
 def protocol_from_json(data: Mapping) -> JointProtocol:
@@ -803,11 +767,10 @@ def protocol_from_json(data: Mapping) -> JointProtocol:
         where = f"the agent {i} protocol"
         kind = _json_field(entry, "kind", where)
         if kind == "table":
-            raw = _json_object(_json_field(entry, "table", where), f"the agent {i} table")
-            table = {
-                _decode(json.loads(k)): _action_list(v, f"the agent {i} table actions at {k}")
-                for k, v in raw.items()
-            }
+            table = _keyed_json(
+                _json_field(entry, "table", where), f"the agent {i} table",
+                lambda v, k: _action_list(v, f"the agent {i} table actions at {k}"),
+            )
             agents.append(AgentProtocol("table", table))
         else:
             agents.append(AgentProtocol(kind))

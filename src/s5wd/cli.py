@@ -28,6 +28,7 @@ from .formula import (
 )
 from .kripke import (
     Model,
+    _json_object,
     check_d,
     check_equivalence,
     check_i,
@@ -72,7 +73,7 @@ def _load_json(path: str):
 
 
 def _load_frame_or_model(path: str):
-    data = _load_json(path)
+    data = _json_object(_load_json(path), "frame JSON")
     if "valuation" in data:
         return model_from_json(data)
     return frame_from_json(data)
@@ -225,7 +226,7 @@ def _cmd_pmorph(args) -> int:
 
 
 def _cmd_f_map(args) -> int:
-    data = _load_json(args.system)
+    data = _json_object(_load_json(args.system), "system JSON")
     if "valuation" in data:
         doc = model_to_json(f_map_interpreted(interpreted_from_json(data)))
     else:

@@ -82,6 +82,39 @@ def flip_protocol():
     return JointProtocol((AgentProtocol("table", table),))
 
 
+BLANK2 = (EPSILON, EPSILON)
+TICKED = ("tick", EPSILON)
+
+
+def clock_env(**changes):
+    """The environment follows a table protocol: an idle clock may be wound
+    once, which everyone sees as a tick.  Agent 1 is passive and cannot see
+    whether the clock started wound."""
+    kwargs = dict(
+        external_actions=((EPSILON, "tick"), (EPSILON,)),
+        internal_actions=((EPSILON, "wind"), (EPSILON,)),
+        private_states=(("idle", "wound"), ("a", "b")),
+        initial_private=(("idle", "wound"), ("a", "b")),
+        env_protocol={
+            (BLANK2, "idle"): [("tick", "wind"), (EPSILON, EPSILON)],
+            (BLANK2, "wound"): [(EPSILON, EPSILON)],
+            (TICKED, "wound"): [(EPSILON, EPSILON)],
+        },
+        transitions=(
+            {
+                (ext, b, p): "wound" if b == "wind" else p
+                for ext in (BLANK2, TICKED)
+                for b in (EPSILON, "wind")
+                for p in ("idle", "wound")
+            },
+            {(ext, EPSILON, p): p for ext in (BLANK2, TICKED) for p in ("a", "b")},
+        ),
+        valuation={(TICKED, ("wound", "a")): ("ticked",)},
+    )
+    kwargs.update(changes)
+    return BroadcastEnvironment(1, **kwargs)
+
+
 class TestEnvironmentConstruction:
     def test_product_initial_states(self):
         e = BroadcastEnvironment(
@@ -340,6 +373,67 @@ class TestStepsAndReplay:
         )
         with pytest.raises(ValueError, match="transition undefined"):
             generate_frame(e, p, 2)
+
+
+class TestTableEnvironmentProtocol:
+    def test_enabled_joint_actions(self):
+        e = clock_env()
+        passive = (EPSILON, EPSILON)
+        idle = ((BLANK2, ("idle", "a")),)
+        assert enabled_joint_actions(e, trivial_protocol(1), idle) == frozenset(
+            {(("tick", "wind"), passive), (passive, passive)}
+        )
+        wound = ((BLANK2, ("wound", "b")),)
+        assert enabled_joint_actions(e, trivial_protocol(1), wound) == frozenset(
+            {(passive, passive)}
+        )
+
+    def test_table_is_normalized(self):
+        e = clock_env()
+        assert [obs for obs, _ in e.env_protocol] == [
+            (BLANK2, "idle"), (BLANK2, "wound"), (TICKED, "wound")
+        ]
+        assert e.env_protocol[0][1] == ((EPSILON, EPSILON), ("tick", "wind"))
+        assert clock_env(env_protocol=list(dict(e.env_protocol).items())) == e
+
+    def test_undefined_observation(self):
+        e = clock_env(env_protocol={(BLANK2, "idle"): [(EPSILON, EPSILON)]})
+        with pytest.raises(ValueError, match="protocol undefined for observation"):
+            enabled_joint_actions(e, trivial_protocol(1), ((BLANK2, ("wound", "a")),))
+
+    def test_unknown_environment_action(self):
+        for action in (("bang", EPSILON), ("tick", "spin")):
+            with pytest.raises(ValueError, match="unknown environment action"):
+                clock_env(env_protocol={(BLANK2, "idle"): [action]})
+
+    def test_empty_action_set(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            clock_env(env_protocol={(BLANK2, "idle"): []})
+
+    def test_generate_frame(self):
+        e = clock_env()
+        p = trivial_protocol(1)
+        assert [len(generate_frame(e, p, d).worlds) for d in (1, 2, 3)] == [4, 10, 18]
+        fr = generate_frame(e, p, 3)
+        assert all(replay_consistent(e, p, tr) for tr in fr.worlds)
+        assert verify_hypercube_decomposition(fr).ok
+        ticked = [tr for tr in fr.worlds if e.atoms_at(tr[-1])]
+        # a tick after one or two steps, from the idle clock with agent 1 at "a"
+        assert [len(tr) for tr in ticked] == [2, 3]
+        assert {tr[-1] for tr in ticked} == {(TICKED, ("wound", "a"))}
+
+    def test_json_round_trip(self):
+        e = clock_env()
+        data = json.loads(json.dumps(environment_to_json(e)))
+        assert set(data["env_protocol"]) == {
+            '[["eps","eps"],"idle"]', '[["eps","eps"],"wound"]', '[["tick","eps"],"wound"]'
+        }
+        assert environment_from_json(data) == e
+
+    def test_empty_table_is_rejected(self):
+        # read like an agent's table: an empty one is an error, not a protocol
+        with pytest.raises(ValueError, match="protocol table is empty"):
+            clock_env(env_protocol={})
 
 
 class TestGenerateFrame:

@@ -180,6 +180,20 @@ def test_malformed_frame_json(capsys, tmp_path, change, message):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["frame-props", "--frame", "{doc}"], "frame JSON is not an object: 5"),
+    (["components", "--frame", "{doc}"], "frame JSON is not an object: 5"),
+    (["iso", "--left", "{doc}", "--right", "{doc}"], "frame JSON is not an object: 5"),
+    (["f-map", "--system", "{doc}"], "system JSON is not an object: 5"),
+])
+def test_document_that_is_not_an_object(capsys, tmp_path, argv, message):
+    # checked before the loader looks for a valuation field in it
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    argv = [str(path) if token == "{doc}" else token for token in argv]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
 def test_malformed_map_and_system_valuation(capsys, tmp_path):
     frame = tmp_path / "f.json"
     frame.write_text(json.dumps({"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}}))
@@ -580,6 +594,16 @@ class TestBroadcast:
          " is not a list: 'pq'"),
         ({"env_protocol": {'[["eps","eps","eps"],"1"]': "ab"}},
          """the 'env_protocol' actions at [["eps","eps","eps"],"1"] is not a list: 'ab'"""),
+        ({"valuation": {"abc": ["p"]}},
+         "key 'abc' in 'valuation' is not the JSON text of a value"),
+        ({"env_protocol": {"abc": [["eps", "eps"]]}},
+         "key 'abc' in 'env_protocol' is not the JSON text of a value"),
+        ({"transitions": [{}, {"abc": "1"}, {}]},
+         "key 'abc' in transition table 1 is not the JSON text of a value"),
+        ({"valuation": {'{"x":1}': ["p"]}},
+         """key '{"x":1}' in 'valuation' is not the JSON text of a value"""),
+        # read like an agent's table: an empty one is rejected
+        ({"env_protocol": {}}, "protocol table is empty"),
     ])
     def test_malformed_env_json(self, capsys, tmp_path, change, message):
         env, _ = build_card_game(2, 1)
@@ -602,6 +626,8 @@ class TestBroadcast:
         ({"agents": [{"kind": "table", "table": {'[["eps","eps","eps"],{"set":[]}]': ["ab"]}}]},
          """action 'ab' in the agent 1 table actions at [["eps","eps","eps"],{"set":[]}]"""
          " is not a pair"),
+        ({"agents": [{"kind": "table", "table": {"abc": [["eps", "eps"]]}}]},
+         "key 'abc' in the agent 1 table is not the JSON text of a value"),
     ])
     def test_malformed_protocol_json(self, capsys, tmp_path, data, message):
         path = tmp_path / "proto.json"

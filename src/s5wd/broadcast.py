@@ -57,7 +57,7 @@ def _decode(value):
         return value
     if isinstance(value, list):
         return tuple(_decode(v) for v in value)
-    if isinstance(value, dict) and set(value) == {"set"}:
+    if isinstance(value, dict) and set(value) == {"set"} and isinstance(value["set"], list):
         return frozenset(_decode(v) for v in value["set"])
     raise ValueError(f"cannot decode value: {value!r}")
 
@@ -68,6 +68,21 @@ _key = _json_encoder((tuple,), '{"set":[%s]}')
 
 def _sorted_tuple(values) -> tuple:
     return tuple(sorted(values, key=_key))
+
+
+def _table_key(key, sequences: tuple, where: str, shape: str) -> tuple:
+    """key as a tuple with one member per flag of sequences, a flagged member
+    being a tuple too (a list is taken as one); a key of another shape
+    raises a ValueError naming it, where and the shape wanted."""
+    if isinstance(key, (tuple, list)) and len(key) == len(sequences) and all(
+        isinstance(part, (tuple, list)) for part, seq in zip(key, sequences) if seq
+    ):
+        return tuple(tuple(part) if seq else part for part, seq in zip(key, sequences))
+    try:
+        text = _key(key)
+    except TypeError:
+        text = repr(key)
+    raise ValueError(f"key {text:.80} in {where} is not {shape}")
 
 
 def _sorted_table(entries, entry) -> tuple:
@@ -188,8 +203,8 @@ class BroadcastEnvironment:
 
     def _transition(self, i, key, target) -> tuple:
         """One checked entry of agent i's transition table."""
-        avec, b, p = key
-        avec = tuple(avec)
+        avec, b, p = _table_key(key, (True, False, False), f"transition table {i}",
+                                "[joint action, internal action, private state]")
         if len(avec) != self.n + 1:
             raise ValueError("transition keys need a full joint action")
         for j, a in enumerate(avec):
@@ -205,7 +220,8 @@ class BroadcastEnvironment:
 
     def _labels(self, state, atoms) -> tuple:
         """One checked valuation entry: a state and its sorted atom names."""
-        state = (tuple(state[0]), tuple(state[1]))
+        state = _table_key(state, (True, True), "'valuation'",
+                           "a state [joint action, private states]")
         self._check_state(state)
         names = tuple(sorted(set(atoms)))
         for a in names:
@@ -261,7 +277,8 @@ class AgentProtocol:
             acts = _sorted_tuple(set(map(tuple, actions)))
             if not acts:
                 raise ValueError("protocol action sets must be nonempty")
-            return (tuple(obs[0]), obs[1]), acts
+            return _table_key(obs, (True, False), "a protocol table",
+                              "an observation [joint action, private state]"), acts
 
         table = _sorted_table(self.table, entry)
         if not table:

@@ -18,18 +18,17 @@ from .formula import (
     Dist,
     Formula,
     Not,
+    _compile,
+    _preorder,
     expand_s,
     formula_size,
-    has_node,
     parse,
-    subformulas,
 )
 from .kripke import (
     AgentIndexError,
     BudgetError,
     Frame,
     Model,
-    _compile,
     _countermodel,
     check_d,
     check_equivalence,
@@ -181,23 +180,29 @@ def enumerate_frames(
             yield fr
 
 
-def _check_agents(f: Formula, n: int) -> None:
-    for g in subformulas(f):
-        if isinstance(g, (Box, Diamond)) and not 1 <= g.agent <= n:
-            raise AgentIndexError(f"agent index {g.agent} out of range 1..{n}")
+def _may_claim_unsat(f: Formula, n: int, nodes: list, klass: str, max_worlds: int) -> bool:
+    """True iff an exhausted search of klass up to max_worlds proves f
+    unsatisfiable; nodes is the compiled ~f.
 
-
-def _may_claim_unsat(g: Formula, klass: str, max_worlds: int) -> bool:
-    # The filtration argument bounds satisfying models by 2^size; it does not
-    # apply to the D operator and does not preserve the I property.
-    if klass == "edi":
+    A model of f has a connected one, its generated submodel at the witness.
+    Filtrating that through the closure of f (leading Nots dropped, S
+    expanded) gives a connected model of f with at most 2^size worlds.  For
+    e the quotient is an equivalence model.  For ed it is D as well: a join
+    w of w_1..w_n agrees with each w_i on agent i's modal members, so the
+    class of w joins their classes.  For ewd the argument goes through ed,
+    since a connected WD model is D.  The tuple (w, .., w) has the join w;
+    and if v joins a tuple and its member w_j moves one step to u, WD at
+    w_j joins u under R_j with v under every other R_i, which joins the new
+    tuple.  So the quotient is D, hence WD.  Filtrating a WD model that is
+    not connected would not do, since its quotient need not be WD.  The
+    argument does not cover the D operator, and filtration does not
+    preserve I, so neither allows the claim.
+    """
+    if klass == "edi" or any(kind is Dist for kind, *_ in nodes):
         return False
-    if has_node(g, Dist):
-        return False
-    stripped = g
-    while isinstance(stripped, Not):
-        stripped = stripped.child
-    return max_worlds >= 2 ** formula_size(stripped)
+    while isinstance(f, Not):
+        f = f.child
+    return max_worlds >= 2 ** formula_size(expand_s(f, n))
 
 
 def decide_satisfiability(
@@ -217,9 +222,10 @@ def decide_satisfiability(
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    _check_agents(f, n)
-    g = expand_s(f, n)
-    target = _compile(Not(g))
+    target = _compile(Not(f))
+    for kind, agent, *_ in map(target.__getitem__, _preorder(target)):
+        if kind in (Box, Diamond) and not 1 <= agent <= n:
+            raise AgentIndexError(f"agent index {agent} out of range 1..{n}")
     for fr in enumerate_frames(
         n, max_worlds, klass, connected_only=True, budget=frame_budget
     ):
@@ -227,7 +233,7 @@ def decide_satisfiability(
         if found is not None:
             model, world = found
             return Verdict("satisfiable", model, world, max_worlds)
-    if _may_claim_unsat(g, klass, max_worlds):
+    if _may_claim_unsat(f, n, target, klass, max_worlds):
         return Verdict("unsatisfiable", bound=max_worlds)
     return Verdict("unknown", bound=max_worlds)
 

@@ -100,9 +100,6 @@ class Dist(Formula):
     child: Formula
 
 
-_BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
@@ -149,168 +146,113 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], n: int, extended: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-        self.extended = extended
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek()[0] == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "->":
-            self.take()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek()[0] == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
-
-    def agent_index(self) -> int:
-        tok = self.expect("nat")
-        i = tok[1]
-        assert isinstance(i, int)
-        if not 1 <= i <= self.n:
-            raise AgentIndexError(f"agent index {i} out of range 1..{self.n}")
-        return i
-
-    def unary(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "~":
-            return Not(self.unary())
-        if kind == "[":
-            i = self.agent_index()
-            self.expect("]")
-            return Box(i, self.unary())
-        if kind == "<":
-            i = self.agent_index()
-            self.expect(">")
-            return Diamond(i, self.unary())
-        if kind == "S":
-            if not self.extended:
-                raise ParseError("operator S is not enabled", pos)
-            return Some(self.unary())
-        if kind == "D":
-            if not self.extended:
-                raise ParseError("operator D is not enabled", pos)
-            return Dist(self.unary())
-        if kind == "(":
-            f = self.iff()
-            self.expect(")")
-            return f
-        if kind == "atom":
-            assert isinstance(value, str)
-            return Atom(value)
-        raise ParseError(f"unexpected {kind!r}", pos)
+# binary token -> (node, precedence level); higher binds tighter, and the two
+# loosest levels associate to the right
+_INFIX = {"<->": (Iff, 1), "->": (Implies, 2), "|": (Or, 3), "&": (And, 4)}
+_PREFIX = {"~": Not, "S": Some, "D": Dist, "[": Box, "<": Diamond}
 
 
 def parse(text: str, n: int, *, extended: bool = True) -> Formula:
     """Parse concrete syntax into a Formula; agent indices are checked against n.
 
-    With extended=False the S and D operators are rejected.
+    With extended=False the S and D operators are rejected.  Precedence
+    climbing over explicit stacks, so nesting depth is bounded by memory
+    only: ops holds pending "(" marks, infix tokens and (node, agent)
+    prefixes, and lefts the left operand of each pending infix token.
     """
     if n < 1:
         raise ValueError("agent count n must be at least 1")
-    parser = _Parser(_tokenize(text), n, extended)
-    f = parser.iff()
-    parser.expect("end")
-    return f
+    take = iter(_tokenize(text)).__next__
+
+    def expect(kind: str) -> object:
+        tok = take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok[1]
+
+    ops: list = []
+    lefts: list = []
+    while True:
+        kind, value, pos = take()
+        if kind in _PREFIX:
+            if kind in ("S", "D") and not extended:
+                raise ParseError(f"operator {kind} is not enabled", pos)
+            agent = None
+            if kind in ("[", "<"):
+                agent = expect("nat")
+                if not 1 <= agent <= n:
+                    raise AgentIndexError(f"agent index {agent} out of range 1..{n}")
+                expect("]" if kind == "[" else ">")
+            ops.append((_PREFIX[kind], agent))
+            continue
+        if kind == "(":
+            ops.append(kind)
+            continue
+        if kind != "atom":
+            raise ParseError(f"unexpected {kind!r}", pos)
+        f: Formula = Atom(value)
+        # f is a whole operand: apply its prefixes, then close groups until an
+        # infix token follows
+        while True:
+            while ops and type(ops[-1]) is tuple:
+                node, agent = ops.pop()
+                f = node(f) if agent is None else node(agent, f)
+            kind, _, pos = take()
+            if kind in _INFIX:
+                break
+            while ops and ops[-1] != "(":
+                f = _INFIX[ops.pop()][0](lefts.pop(), f)
+            if not ops:
+                if kind != "end":
+                    raise ParseError(f"expected 'end', found {kind!r}", pos)
+                return f
+            if kind != ")":
+                raise ParseError(f"expected ')', found {kind!r}", pos)
+            ops.pop()
+        level = _INFIX[kind][1]
+        while ops and ops[-1] in _INFIX:
+            top = _INFIX[ops[-1]][1]
+            if top < level or top == level <= 2:
+                break
+            f = _INFIX[ops.pop()][0](lefts.pop(), f)
+        ops.append(kind)
+        lefts.append(f)
 
 
-# Precedence levels used by the printer; higher binds tighter.
-_LEVELS = {Iff: 1, Implies: 2, Or: 3, And: 4}
-
-
-def _level(f: Formula) -> int:
-    return _LEVELS.get(type(f), 5 if not isinstance(f, Atom) else 6)
-
-
-def _render(f: Formula, min_level: int) -> str:
-    if isinstance(f, Atom):
-        body = f.name
-    elif isinstance(f, Not):
-        body = "~" + _render(f.child, 5)
-    elif isinstance(f, Box):
-        body = f"[{f.agent}]" + _render(f.child, 5)
-    elif isinstance(f, Diamond):
-        body = f"<{f.agent}>" + _render(f.child, 5)
-    elif isinstance(f, Some):
-        body = "S " + _render(f.child, 5)
-    elif isinstance(f, Dist):
-        body = "D " + _render(f.child, 5)
-    elif isinstance(f, (And, Or)):
-        level = _level(f)
-        body = f"{_render(f.left, level)} {_BINARY[type(f)]} {_render(f.right, level + 1)}"
-    elif isinstance(f, (Implies, Iff)):
-        level = _level(f)
-        body = f"{_render(f.left, level + 1)} {_BINARY[type(f)]} {_render(f.right, level)}"
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    if _level(f) < min_level:
-        return f"({body})"
-    return body
+_INFIX_TEXT = {node: (f" {token} ", level) for token, (node, level) in _INFIX.items()}
+_PREFIX_TEXT = {Not: "~", Some: "S ", Dist: "D ", Box: "[{}]", Diamond: "<{}>"}
 
 
 def pretty(f: Formula) -> str:
-    """Render f with minimal parentheses so that parse(pretty(f), n) == f."""
-    return _render(f, 0)
+    """Render f with minimal parentheses so that parse(pretty(f), n) == f.
 
-
-def expand_s(f: Formula, n: int) -> Formula:
-    """Replace every S g by the disjunction of <i>g over agents i = 1..n."""
-    if n < 1:
-        raise ValueError("agent count n must be at least 1")
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(expand_s(f.child, n))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(expand_s(f.left, n), expand_s(f.right, n))
-    if isinstance(f, Box):
-        return Box(f.agent, expand_s(f.child, n))
-    if isinstance(f, Diamond):
-        return Diamond(f.agent, expand_s(f.child, n))
-    if isinstance(f, Dist):
-        return Dist(expand_s(f.child, n))
-    if isinstance(f, Some):
-        child = expand_s(f.child, n)
-        out: Formula = Diamond(1, child)
-        for i in range(2, n + 1):
-            out = Or(out, Diamond(i, child))
-        return out
-    raise TypeError(f"not a formula node: {f!r}")
+    An explicit stack of pending texts and (formula, least precedence level
+    that needs no parentheses) pairs, appended to one list.  Only infix
+    nodes ever need parentheses: prefixes bind at level 5, atoms at 6.
+    """
+    out: list = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, min_level = item
+        kind = type(g)
+        if kind is Atom:
+            out.append(g.name)
+        elif kind in _PREFIX_TEXT:
+            out.append(_PREFIX_TEXT[kind].format(getattr(g, "agent", None)))
+            stack.append((g.child, 5))
+        elif kind in _INFIX_TEXT:
+            text, level = _INFIX_TEXT[kind]
+            # -> and <-> group to the right, & and | to the left
+            left, right = (level + 1, level) if level <= 2 else (level, level + 1)
+            body = [(g.left, left), text, (g.right, right)]
+            stack.extend(reversed(["(", *body, ")"] if level < min_level else body))
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+    return "".join(out)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
@@ -324,19 +266,78 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def _compile(f: Formula) -> list:
+    """f as a hash-consed DAG: (kind, arg, child ids, formula) nodes, children
+    before parents, root last.  kind is the node class, arg the atom name or
+    the agent index (else None), and formula the first subformula of f of
+    that shape.  Nodes are keyed by kind, arg and child ids, so equal
+    subformulas share one id without hashing formula trees.  Every structural
+    helper below reads this list; none recurses."""
+    nodes: list = []
+    ids: dict = {}
+    done: dict = {}  # id() of a formula object -> its node id; f keeps them alive
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if id(g) in done:
+            continue
+        kids = children(g)
+        if not ready:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(kids))
+            continue
+        kind = type(g)
+        arg = g.name if kind is Atom else g.agent if kind in (Box, Diamond) else None
+        key = (kind, arg, tuple(done[id(c)] for c in kids))
+        node = ids.get(key)
+        if node is None:
+            node = ids[key] = len(nodes)
+            nodes.append((*key, g))
+        done[id(g)] = node
+    return nodes
+
+
+def _preorder(nodes: list) -> list:
+    """Node ids in first-visit preorder from the root, left child first."""
+    seen = [False] * len(nodes)
+    order = []
+    stack = [len(nodes) - 1]
+    while stack:
+        k = stack.pop()
+        if not seen[k]:
+            seen[k] = True
+            order.append(k)
+            stack.extend(reversed(nodes[k][2]))
+    return order
+
+
+def _s_free(nodes: list, what: str) -> list:
+    if any(kind is Some for kind, *_ in nodes):
+        raise ValueError(f"formula contains S; expand_s before taking {what}")
+    return nodes
+
+
+def expand_s(f: Formula, n: int) -> Formula:
+    """Replace every S g by the disjunction of <i>g over agents i = 1..n."""
+    if n < 1:
+        raise ValueError("agent count n must be at least 1")
+    out: list = []
+    for kind, arg, kids, g in _compile(f):
+        args = [out[k] for k in kids]
+        if kind is Some:
+            g = Diamond(1, args[0])
+            for i in range(2, n + 1):
+                g = Or(g, Diamond(i, args[0]))
+        elif kind is not Atom:
+            g = kind(arg, *args) if kind in (Box, Diamond) else kind(*args)
+        out.append(g)
+    return out[-1]
+
+
 def subformulas(f: Formula) -> tuple[Formula, ...]:
     """All distinct subformulas of f, in first-visit preorder."""
-    seen: dict[Formula, None] = {}
-
-    def visit(g: Formula) -> None:
-        if g in seen:
-            return
-        seen[g] = None
-        for child in children(g):
-            visit(child)
-
-    visit(f)
-    return tuple(seen)
+    nodes = _compile(f)
+    return tuple(nodes[k][3] for k in _preorder(nodes))
 
 
 def negation(f: Formula) -> Formula:
@@ -350,50 +351,51 @@ def subformula_closure(f: Formula) -> tuple[Formula, ...]:
     """Subformulas of f together with their negations, deduplicated.
 
     The formula must be S-free (expand first).  At most one leading Not is
-    added, so the closure has at most 2 * formula_size(f) members.
+    added, so the closure has at most 2 * formula_size(f) members.  A
+    non-Not subformula's negation is already a member iff some Not node has
+    it as its child.
     """
-    if has_node(f, Some):
-        raise ValueError("formula contains S; expand_s before taking the closure")
-    members: dict[Formula, None] = {g: None for g in subformulas(f)}
-    for g in tuple(members):
-        members.setdefault(negation(g), None)
-    return tuple(members)
+    nodes = _s_free(_compile(f), "the closure")
+    negated = {kids[0] for kind, _, kids, _ in nodes if kind is Not}
+    order = _preorder(nodes)
+    return tuple([nodes[k][3] for k in order] + [
+        Not(nodes[k][3]) for k in order if nodes[k][0] is not Not and k not in negated
+    ])
 
 
 def formula_size(f: Formula) -> int:
     """Number of distinct subformulas of f (f must be S-free)."""
-    if has_node(f, Some):
-        raise ValueError("formula contains S; expand_s before taking sizes")
-    return len(subformulas(f))
+    return len(_s_free(_compile(f), "sizes"))
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
     """Sorted names of the atoms occurring in f."""
-    return tuple(sorted({g.name for g in subformulas(f) if isinstance(g, Atom)}))
+    return tuple(sorted({arg for kind, arg, *_ in _compile(f) if kind is Atom}))
 
 
 def has_node(f: Formula, node_type: type) -> bool:
     """True iff some subformula of f is of the given node type."""
-    return any(isinstance(g, node_type) for g in subformulas(f))
+    return any(issubclass(kind, node_type) for kind, *_ in _compile(f))
 
 
 def modal_depth(f: Formula) -> int:
     """Maximum nesting of modal operators (box, diamond, S, D)."""
-    inner = max((modal_depth(g) for g in children(f)), default=0)
-    if isinstance(f, (Box, Diamond, Some, Dist)):
-        return inner + 1
-    return inner
+    depth: list = []
+    for kind, _, kids, _ in _compile(f):
+        inner = max((depth[k] for k in kids), default=0)
+        depth.append(inner + (kind in (Box, Diamond, Some, Dist)))
+    return depth[-1]
 
 
 def is_i_local(f: Formula, i: int) -> bool:
     """True iff f is a boolean combination of formulas rooted at [i] or <i>."""
-    if isinstance(f, (Box, Diamond)):
-        return f.agent == i
-    if isinstance(f, Not):
-        return is_i_local(f.child, i)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return is_i_local(f.left, i) and is_i_local(f.right, i)
-    return False
+    local: list = []
+    for kind, arg, kids, _ in _compile(f):
+        if kind in (Box, Diamond):
+            local.append(arg == i)
+        else:
+            local.append(kind in (Not, And, Or, Implies, Iff) and all(local[k] for k in kids))
+    return local[-1]
 
 
 def _conjunction(parts: Iterable[Formula]) -> Formula:

@@ -29,7 +29,7 @@ from .formula import (
     Not,
     Or,
     Some,
-    children,
+    _compile,
 )
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -299,40 +299,11 @@ class MorphismReport:
 def _check_nodes(fr: Frame, nodes: list) -> None:
     """Check a compiled formula against fr: every [i]/<i> agent in range, and
     D only on an equivalence frame."""
-    for kind, arg, _ in nodes:
+    for kind, arg, *_ in nodes:
         if kind in (Box, Diamond):
             fr._check_agent(arg)
-    if any(kind is Dist for kind, _, _ in nodes) and not check_equivalence(fr):
+    if any(kind is Dist for kind, *_ in nodes) and not check_equivalence(fr):
         raise ValueError("the D operator requires an equivalence model")
-
-
-def _compile(f: Formula) -> list:
-    """f as a hash-consed DAG: (kind, arg, child ids) nodes, children before
-    parents, root last.  kind is the node class and arg the atom name or the
-    agent index (else None).  Nodes are keyed by kind, arg and child ids, so
-    equal subformulas share one id without hashing formula trees."""
-    nodes: list = []
-    ids: dict = {}
-    done: dict = {}  # id() of a formula object -> its node id; f keeps them alive
-    stack = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        if id(g) in done:
-            continue
-        kids = children(g)
-        if not ready:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(kids))
-            continue
-        kind = type(g)
-        arg = g.name if kind is Atom else g.agent if kind in (Box, Diamond) else None
-        key = (kind, arg, tuple(done[id(c)] for c in kids))
-        node = ids.get(key)
-        if node is None:
-            node = ids[key] = len(nodes)
-            nodes.append(key)
-        done[id(g)] = node
-    return nodes
 
 
 class _Kernel:
@@ -372,7 +343,7 @@ class _Kernel:
         atom's per-world values and full has a bit set for every valuation."""
         values: list = []
         size = len(self.frame.worlds)
-        for kind, arg, kids in self.nodes:
+        for kind, arg, kids, _ in self.nodes:
             if kind is Atom:
                 out = atom_value(arg)
             elif kind is Not:
@@ -443,7 +414,7 @@ def find_frame_countermodel(
 
 def _countermodel(fr: Frame, nodes: list, max_assignments: int) -> Optional[tuple]:
     """find_frame_countermodel on an already compiled formula."""
-    names = sorted({arg for kind, arg, _ in nodes if kind is Atom})
+    names = sorted({arg for kind, arg, *_ in nodes if kind is Atom})
     k = len(names)
     size = len(fr.worlds)
     bits = size * k

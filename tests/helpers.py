@@ -4,6 +4,7 @@ import json
 import random
 
 from s5wd.formula import (
+    AgentIndexError,
     And,
     Atom,
     Box,
@@ -14,7 +15,11 @@ from s5wd.formula import (
     Implies,
     Not,
     Or,
+    ParseError,
     Some,
+    _tokenize,
+    children,
+    negation,
 )
 import itertools
 
@@ -321,6 +326,210 @@ def components_by_pair_scan(x) -> list:
             piece = Model(piece, {v: x.atoms_at(v) for v in ordered})
         out.append((piece, ordered))
     return out
+
+
+# The recursive parser, printer and structural helpers that the compiled
+# formula walk replaced, kept as oracles.
+
+
+class _DescentParser:
+    def __init__(self, tokens, n: int, extended: bool):
+        self.tokens = tokens
+        self.pos = 0
+        self.n = n
+        self.extended = extended
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok
+
+    def iff(self) -> Formula:
+        left = self.implies()
+        if self.peek()[0] == "<->":
+            self.take()
+            return Iff(left, self.iff())
+        return left
+
+    def implies(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[0] == "->":
+            self.take()
+            return Implies(left, self.implies())
+        return left
+
+    def disjunction(self) -> Formula:
+        left = self.conjunction()
+        while self.peek()[0] == "|":
+            self.take()
+            left = Or(left, self.conjunction())
+        return left
+
+    def conjunction(self) -> Formula:
+        left = self.unary()
+        while self.peek()[0] == "&":
+            self.take()
+            left = And(left, self.unary())
+        return left
+
+    def agent_index(self) -> int:
+        i = self.expect("nat")[1]
+        if not 1 <= i <= self.n:
+            raise AgentIndexError(f"agent index {i} out of range 1..{self.n}")
+        return i
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.take()
+        if kind == "~":
+            return Not(self.unary())
+        if kind == "[":
+            i = self.agent_index()
+            self.expect("]")
+            return Box(i, self.unary())
+        if kind == "<":
+            i = self.agent_index()
+            self.expect(">")
+            return Diamond(i, self.unary())
+        if kind == "S":
+            if not self.extended:
+                raise ParseError("operator S is not enabled", pos)
+            return Some(self.unary())
+        if kind == "D":
+            if not self.extended:
+                raise ParseError("operator D is not enabled", pos)
+            return Dist(self.unary())
+        if kind == "(":
+            f = self.iff()
+            self.expect(")")
+            return f
+        if kind == "atom":
+            return Atom(value)
+        raise ParseError(f"unexpected {kind!r}", pos)
+
+
+def parse_by_descent(text: str, n: int, *, extended: bool = True) -> Formula:
+    """parse by one recursive method per precedence level."""
+    if n < 1:
+        raise ValueError("agent count n must be at least 1")
+    parser = _DescentParser(_tokenize(text), n, extended)
+    f = parser.iff()
+    parser.expect("end")
+    return f
+
+
+_PRINT_LEVELS = {Iff: 1, Implies: 2, Or: 3, And: 4}
+_PRINT_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
+
+
+def _level(f: Formula) -> int:
+    return _PRINT_LEVELS.get(type(f), 5 if not isinstance(f, Atom) else 6)
+
+
+def _render(f: Formula, min_level: int) -> str:
+    if isinstance(f, Atom):
+        body = f.name
+    elif isinstance(f, Not):
+        body = "~" + _render(f.child, 5)
+    elif isinstance(f, Box):
+        body = f"[{f.agent}]" + _render(f.child, 5)
+    elif isinstance(f, Diamond):
+        body = f"<{f.agent}>" + _render(f.child, 5)
+    elif isinstance(f, Some):
+        body = "S " + _render(f.child, 5)
+    elif isinstance(f, Dist):
+        body = "D " + _render(f.child, 5)
+    elif isinstance(f, (And, Or)):
+        level = _level(f)
+        body = f"{_render(f.left, level)} {_PRINT_OPS[type(f)]} {_render(f.right, level + 1)}"
+    elif isinstance(f, (Implies, Iff)):
+        level = _level(f)
+        body = f"{_render(f.left, level + 1)} {_PRINT_OPS[type(f)]} {_render(f.right, level)}"
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    if _level(f) < min_level:
+        return f"({body})"
+    return body
+
+
+def pretty_by_recursion(f: Formula) -> str:
+    """pretty by concatenating each level's rendered children."""
+    return _render(f, 0)
+
+
+def expand_s_by_recursion(f: Formula, n: int) -> Formula:
+    """expand_s by rebuilding every node from its expanded children."""
+    if n < 1:
+        raise ValueError("agent count n must be at least 1")
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, Not):
+        return Not(expand_s_by_recursion(f.child, n))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(expand_s_by_recursion(f.left, n), expand_s_by_recursion(f.right, n))
+    if isinstance(f, Box):
+        return Box(f.agent, expand_s_by_recursion(f.child, n))
+    if isinstance(f, Diamond):
+        return Diamond(f.agent, expand_s_by_recursion(f.child, n))
+    if isinstance(f, Dist):
+        return Dist(expand_s_by_recursion(f.child, n))
+    if isinstance(f, Some):
+        child = expand_s_by_recursion(f.child, n)
+        out: Formula = Diamond(1, child)
+        for i in range(2, n + 1):
+            out = Or(out, Diamond(i, child))
+        return out
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def subformulas_by_recursion(f: Formula) -> tuple:
+    """subformulas by a recursive visit that hashes every subtree."""
+    seen: dict = {}
+
+    def visit(g: Formula) -> None:
+        if g in seen:
+            return
+        seen[g] = None
+        for child in children(g):
+            visit(child)
+
+    visit(f)
+    return tuple(seen)
+
+
+def modal_depth_by_recursion(f: Formula) -> int:
+    inner = max((modal_depth_by_recursion(g) for g in children(f)), default=0)
+    if isinstance(f, (Box, Diamond, Some, Dist)):
+        return inner + 1
+    return inner
+
+
+def is_i_local_by_recursion(f: Formula, i: int) -> bool:
+    if isinstance(f, (Box, Diamond)):
+        return f.agent == i
+    if isinstance(f, Not):
+        return is_i_local_by_recursion(f.child, i)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return is_i_local_by_recursion(f.left, i) and is_i_local_by_recursion(f.right, i)
+    return False
+
+
+def subformula_closure_by_recursion(f: Formula) -> tuple:
+    """subformula_closure by adding each subformula's negation in turn."""
+    members = dict.fromkeys(subformulas_by_recursion(f))
+    if any(isinstance(g, Some) for g in members):
+        raise ValueError("formula contains S; expand_s before taking the closure")
+    for g in tuple(members):
+        members.setdefault(negation(g), None)
+    return tuple(members)
 
 
 # The simple implementations the compiled kernel and the orbit-marking

@@ -636,6 +636,49 @@ class TestBroadcast:
                 "--protocol", str(path), "--depth", "1"]
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"valuation": {'["eps"]': ["p"]}},
+         """key ["eps"] in 'valuation' is not a state [joint action, private states]"""),
+        ({"valuation": {"5": ["p"]}},
+         "key 5 in 'valuation' is not a state [joint action, private states]"),
+        ({"transitions": [{}, {"5": "1"}, {}]},
+         "key 5 in transition table 1 is not [joint action, internal action, private state]"),
+        ({"env_protocol": {"7": [["eps", "eps"]]}},
+         "key 7 in a protocol table is not an observation [joint action, private state]"),
+    ], ids=["valuation-list", "valuation-int", "transitions", "env_protocol"])
+    def test_env_table_key_of_wrong_shape(self, capsys, tmp_path, change, message):
+        env, _ = build_card_game(2, 1)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(dict(environment_to_json(env), **change)))
+        argv = ["broadcast", "simulate", "--env", str(path), "--depth", "1"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    def test_protocol_table_key_of_wrong_shape(self, capsys, tmp_path):
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps(
+            {"agents": [{"kind": "table", "table": {"7": [["eps", "eps"]]}}]}
+        ))
+        argv = ["broadcast", "simulate", "--card-game", "deck=2,hand=1",
+                "--protocol", str(path), "--depth", "1"]
+        assert run(capsys, argv) == (
+            1, "", "error: key 7 in a protocol table is not an observation"
+            " [joint action, private state]\n"
+        )
+
+    def test_set_tag_members_must_be_a_list(self, capsys, tmp_path):
+        # a string of members is not read as the set of its characters
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({
+            "n": 1, "external_actions": [["eps"], ["eps"]],
+            "internal_actions": [["eps"], ["eps"]], "private_states": [None, None],
+            "initial_private": [["0"], [{"set": "ab"}]],
+        }))
+        emitted = tmp_path / "traces.json"
+        argv = ["broadcast", "simulate", "--env", str(path), "--depth", "1",
+                "--emit-frame", str(emitted)]
+        assert run(capsys, argv) == (1, "", "error: cannot decode value: {'set': 'ab'}\n")
+        assert not emitted.exists()
+
     def test_emit_frame_feeds_check(self, capsys, tmp_path):
         emitted = tmp_path / "traces.json"
         code, out, _ = run(

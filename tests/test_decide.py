@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from s5wd import decide, kripke
+from s5wd import decide, formula, kripke
 from s5wd.decide import (
     Verdict,
     catach_instance,
@@ -182,18 +182,23 @@ class TestDecideSatisfiability:
             decide_satisfiability(Box(3, Atom("p")), 2, 2)
 
     def test_formula_checked_once_per_query(self, monkeypatch):
-        expected = decide_satisfiability(Not(catach_instance()), 2, 3, klass="e")
-        walks = []
-        subformulas = decide.subformulas
-        for module in (decide, kripke):
-            monkeypatch.setattr(
-                module,
-                "subformulas",
-                lambda f: walks.append(f) or subformulas(f),
-                raising=False,
-            )
-        assert decide_satisfiability(Not(catach_instance()), 2, 3, klass="e") == expected
-        assert len(walks) == 1
+        # the agent check, the D test and the kernel all read the one compiled
+        # DAG of the query; S is evaluated directly, not expanded
+        queries = [Not(catach_instance()), parse("S p & ~p", 2)]
+        expected = [decide_satisfiability(q, 2, 3, klass="e") for q in queries]
+        compiled, walks = [], []
+        compile_ = formula._compile
+        for module in (formula, decide, kripke):
+            monkeypatch.setattr(module, "_compile", lambda f: compiled.append(f) or compile_(f))
+        for name in ("subformulas", "has_node", "expand_s"):
+            for module in (formula, decide, kripke):
+                monkeypatch.setattr(
+                    module, name, lambda *args, name=name: walks.append(name), raising=False
+                )
+        for query, verdict in zip(queries, expected):
+            compiled.clear()
+            assert decide_satisfiability(query, 2, 3, klass="e") == verdict
+            assert compiled == [Not(query)] and walks == []
 
     def test_target_compiled_once_per_query(self, monkeypatch):
         expected = decide_satisfiability(Not(catach_instance()), 2, 3, klass="e")

@@ -20,6 +20,29 @@ from s5wd.broadcast import (
 )
 from s5wd.decide import CLASS_NAMES, enumerate_frames
 from s5wd.filtration import check_suitable, filtrate
+from s5wd.formula import (
+    And,
+    Atom,
+    Box,
+    Diamond,
+    Dist,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Some,
+    atoms,
+    expand_s,
+    formula_size,
+    has_node,
+    is_i_local,
+    modal_depth,
+    parse,
+    pretty,
+    subformula_closure,
+    subformulas,
+)
 from s5wd.kripke import (
     Frame,
     Model,
@@ -55,15 +78,20 @@ from helpers import (
     countermodel_by_valuation,
     enumerate_frames_pairwise,
     equivalence_by_pairs,
+    expand_s_by_recursion,
     extension_by_sets,
     f_map_by_definition,
     find_isomorphism_by_lists,
     frame_by_label_pairs,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
+    is_i_local_by_recursion,
     key_by_json_dumps,
+    modal_depth_by_recursion,
     not_full_hole_by_system,
     pairs_from_blocks,
+    parse_by_descent,
+    pretty_by_recursion,
     random_equivalence_frame,
     random_formula,
     random_frame,
@@ -73,6 +101,8 @@ from helpers import (
     random_model,
     random_nested_value,
     random_partition,
+    subformula_closure_by_recursion,
+    subformulas_by_recursion,
     union_by_pairs,
     world_key_by_json_dumps,
 )
@@ -489,3 +519,82 @@ def test_canonical_keys_match_json_dumps():
             counts["escaped"] += "\\" in text
     # both outcomes and the interesting shapes occur often
     assert min(counts.values()) > 100, counts
+
+
+def value_or_error(fn, *args, **kwargs):
+    """fn's result, or the type, text and position of the ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "position", None)
+
+
+_TOKENS = ["p", "q", "r1", "x_2", "~", "&", "|", "->", "<->", "[", "]", "<", ">",
+           "(", ")", "S", "D", "0", "1", "2", "3", "12", "-", "@", "P", " "]
+
+
+def random_formula_text(rng: random.Random) -> str:
+    """A string of random tokens, or a printed random formula with a few
+    tokens inserted, deleted or swapped."""
+    if rng.random() < 0.3:
+        return "".join(rng.choices(_TOKENS, k=rng.randint(0, 12)))
+    text = pretty(random_formula(rng, 3, ["p", "q"], rng.randint(0, 5), allow_s=True, allow_d=True))
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        k = rng.randint(0, len(text))
+        edit = rng.choice(["insert", "delete", "swap"])
+        if edit == "insert":
+            text = text[:k] + rng.choice(_TOKENS) + text[k:]
+        elif edit == "delete":
+            text = text[:k] + text[k + 1:]
+        elif k + 1 < len(text):
+            text = text[:k] + text[k + 1] + text[k] + text[k + 2:]
+    return text
+
+
+def test_parse_matches_recursive_descent():
+    rng = random.Random(12)
+    counts: dict = {}
+    for _ in range(6000):
+        text = random_formula_text(rng)
+        n, extended = rng.randint(1, 3), rng.random() < 0.8
+        got = value_or_error(parse, text, n, extended=extended)
+        assert got == value_or_error(parse_by_descent, text, n, extended=extended), text
+        kind = "formula" if isinstance(got, Formula) else got[0].__name__
+        counts[kind] = counts.get(kind, 0) + 1
+    # well-formed text, syntax errors and agent errors all occur often
+    assert set(counts) == {"formula", "ParseError", "AgentIndexError"}, counts
+    assert min(counts.values()) > 300, counts
+
+
+def test_formula_helpers_match_recursive_walks():
+    rng = random.Random(13)
+    kinds = (Atom, Not, And, Or, Implies, Iff, Box, Diamond, Some, Dist, Formula, (Box, Dist))
+    with_s = 0
+    for _ in range(1000):
+        n = rng.randint(1, 3)
+        f = random_formula(rng, n, ["p", "q", "r"], rng.randint(0, 6), allow_s=True, allow_d=True)
+        assert pretty(f) == pretty_by_recursion(f)
+        subs = subformulas_by_recursion(f)
+        assert subformulas(f) == subs
+        assert atoms(f) == tuple(sorted({g.name for g in subs if isinstance(g, Atom)}))
+        assert [has_node(f, k) for k in kinds] == [
+            any(isinstance(g, k) for g in subs) for k in kinds
+        ]
+        assert modal_depth(f) == modal_depth_by_recursion(f)
+        assert [is_i_local(f, i) for i in range(n + 2)] == [
+            is_i_local_by_recursion(f, i) for i in range(n + 2)
+        ]
+        has_s = any(isinstance(h, Some) for h in subs)
+        assert value_or_error(formula_size, f) == (
+            (ValueError, "formula contains S; expand_s before taking sizes", None)
+            if has_s else len(subs)
+        )
+        g = expand_s(f, n)
+        assert g == expand_s_by_recursion(f, n)
+        assert formula_size(g) == len(subformulas_by_recursion(g))
+        for h in (f, g):
+            assert value_or_error(subformula_closure, h) == value_or_error(
+                subformula_closure_by_recursion, h
+            )
+        with_s += has_s
+    assert with_s > 200

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from s5wd.decide import enumerate_frames
 from s5wd.filtration import Filtration, check_suitable, filtrate, world_equivalence
 from s5wd.formula import Atom, Box, formula_size, parse, subformula_closure
 from s5wd.kripke import (
@@ -13,6 +14,7 @@ from s5wd.kripke import (
     WorldMap,
     check_d,
     check_equivalence,
+    check_wd,
     find_isomorphism,
     frame_from_partitions,
     satisfies,
@@ -258,3 +260,45 @@ class TestInvariantSweep:
             again = filtrate(fil.quotient, f)
             assert again.quotient == fil.quotient
             assert find_isomorphism(again.quotient, fil.quotient) is not None
+
+
+class TestBoundForDirectedClasses:
+    """decide claims "unsatisfiable" on ed and ewd frames through filtration
+    of connected D models (decide._may_claim_unsat): a connected WD frame
+    is D, and the quotient of a D model is D."""
+
+    def test_d_source_gives_d_quotient(self):
+        rng = random.Random(0)
+        sources = proper = 0
+        while sources < 400:
+            n = rng.randint(2, 3)
+            size = rng.randint(1, 6)
+            fr = random_equivalence_frame(rng, n, size)
+            if not check_d(fr):
+                continue
+            sources += 1
+            m = random_model(rng, fr, ["p", "q"])
+            fil = filtrate(m, random_formula(rng, n, ["p", "q"], rng.randint(0, 3)))
+            assert check_d(fil.quotient.frame)
+            proper += len(fil.quotient.frame.worlds) < size
+        assert proper > 100
+
+    def test_connected_wd_frames_are_d(self):
+        for n, size in ((1, 5), (2, 6), (3, 4)):
+            frames = list(enumerate_frames(n, size, "ewd", connected_only=True))
+            assert frames and all(check_d(fr) for fr in frames)
+
+    def test_wd_source_can_give_a_quotient_that_is_not_wd(self):
+        # why the ewd bound goes through ed: filtrating a WD model that is
+        # not connected can lose WD
+        fr = frame_from_partitions(
+            2,
+            ["w0", "w1", "w2", "w3"],
+            [[["w0"], ["w1", "w2"], ["w3"]], [["w0", "w1", "w2"], ["w3"]]],
+        )
+        assert check_wd(fr) and not check_d(fr)
+        m = Model(fr, {"w1": ("p",), "w2": ("p",), "w3": ("p",)})
+        quotient = filtrate(m, parse("<1>p & [2]p", 2)).quotient.frame
+        assert quotient.worlds == ("w0", "w1", "w3")
+        assert check_equivalence(quotient)
+        assert not check_wd(quotient) and not check_d(quotient)

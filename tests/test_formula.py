@@ -1,9 +1,11 @@
 """Formula AST, parser, printer, and structural helpers."""
 
 import random
+import sys
 
 import pytest
 
+from s5wd import cli
 from s5wd.formula import (
     AgentIndexError,
     And,
@@ -243,3 +245,32 @@ class TestWdInstance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             wd_instance([])
+
+
+DEEP = 10_000
+
+# text of depth DEEP, its printed form, and its formula_size, modal_depth and
+# closure size
+DEEP_SHAPES = {
+    "not": ("~" * DEEP + "p", None, DEEP + 1, 0, DEEP + 1),
+    "box": ("[1]" * DEEP + "p", None, DEEP + 1, DEEP, 2 * DEEP + 2),
+    "parentheses": ("p & (" * DEEP + "p & p" + ")" * DEEP, None, DEEP + 2, 0, 2 * DEEP + 4),
+    "bare parentheses": ("(" * DEEP + "~p" + ")" * DEEP, "~p", 2, 0, 2),
+    "and": ("p" + " & p" * DEEP, None, DEEP + 1, 0, 2 * DEEP + 2),
+    "implies": ("p -> " * DEEP + "p", None, DEEP + 1, 0, 2 * DEEP + 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_deep_formula_needs_no_recursion(shape, capsys):
+    # deeper than the recursion limit: every walk keeps its own stack
+    assert sys.getrecursionlimit() < DEEP
+    text, printed, size, depth, closure = DEEP_SHAPES[shape]
+    f = parse(text, 1)
+    assert pretty(f) == (printed or text)
+    assert len(subformulas(f)) == formula_size(f) == size
+    assert modal_depth(f) == depth
+    assert len(subformula_closure(f)) == closure
+    assert cli.main(["decide", "--formula", text, "--n", "1", "--mode", "sat",
+                     "--max-worlds", "1"]) == 0
+    assert capsys.readouterr().out.startswith("verdict: satisfiable\n")

@@ -10,24 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .formula import (
-    Box,
-    Diamond,
-    Dist,
-    Formula,
-    Some,
-    atoms,
-    has_node,
-    subformula_closure,
-)
+from .formula import Atom, Box, Diamond, Dist, Formula, Some, _closure, _compile
 from .kripke import (
     Model,
     MorphismReport,
     WorldMap,
+    _extensions,
+    _group_by,
     _lowest,
     _mask,
     check_equivalence,
-    extension,
     frame_from_labels,
     frame_of,
 )
@@ -44,24 +36,18 @@ class Filtration:
     projection: WorldMap
 
 
+def _signatures(m: Model, closure: Sequence[Formula]) -> dict:
+    """Each world of m -> its truth of each closure member, "0" or "1"."""
+    worlds = frame_of(m).worlds
+    rows = [format(x, f"0{len(worlds)}b")[::-1] for x in _extensions(m, closure)]
+    return {t[0]: t[1:] for t in zip(worlds, *rows)}
+
+
 def world_equivalence(m: Model, closure: Sequence[Formula]) -> list:
     """Partition of m's worlds by agreement on every member of closure,
     ordered by first occurrence; each block keeps world order."""
-    members = tuple(closure)
-    truths = [extension(m, g) for g in members]
-    groups: dict = {}
-    for w in frame_of(m).worlds:
-        sig = tuple(w in t for t in truths)
-        groups.setdefault(sig, []).append(w)
-    return list(groups.values())
-
-
-def _modal_signature(closure, truths, i, w):
-    return tuple(
-        w in truths[k]
-        for k, g in enumerate(closure)
-        if isinstance(g, (Box, Diamond)) and g.agent == i
-    )
+    sig = _signatures(m, closure)
+    return [list(block) for block in _group_by(frame_of(m).worlds, sig.__getitem__)]
 
 
 def filtrate(m: Model, f: Formula) -> Filtration:
@@ -75,33 +61,28 @@ def filtrate(m: Model, f: Formula) -> Filtration:
     fr = frame_of(m)
     if not check_equivalence(fr):
         raise ValueError("filtration requires an equivalence model")
-    if has_node(f, Some):
+    nodes = _compile(f)
+    kinds = {kind for kind, *_ in nodes}
+    if Some in kinds:
         raise ValueError("S must be expanded before filtration")
-    if has_node(f, Dist):
+    if Dist in kinds:
         raise ValueError("the D operator is not supported by filtration")
-    closure = subformula_closure(f)
-    truths = [extension(m, g) for g in closure]
-
-    classes = world_equivalence(m, closure)
-    rep_of = {}
-    for block in classes:
-        for w in block:
-            rep_of[w] = block[0]
+    closure = _closure(nodes)
+    sig = _signatures(m, closure)
+    classes = _group_by(fr.worlds, sig.__getitem__)
+    rep_of = {w: block[0] for block in classes for w in block}
     reps = [block[0] for block in classes]
-
-    keep = set(atoms(f))
+    # per agent, the positions of its box and diamond members in the closure
+    modal = [
+        [j for j, g in enumerate(closure) if isinstance(g, (Box, Diamond)) and g.agent == i]
+        for i in fr.agents
+    ]
+    keep = {arg for kind, arg, *_ in nodes if kind is Atom}
     quotient = Model(
-        frame_from_labels(
-            fr.n, reps, lambda i, r: _modal_signature(closure, truths, i, r)
-        ),
+        frame_from_labels(fr.n, reps, lambda i, r: tuple(sig[r][j] for j in modal[i - 1])),
         {r: tuple(a for a in m.atoms_at(r) if a in keep) for r in reps},
     )
-    fil = Filtration(
-        source=m,
-        closure=closure,
-        quotient=quotient,
-        projection=WorldMap(fr, quotient.frame, rep_of),
-    )
+    fil = Filtration(m, closure, quotient, WorldMap(fr, quotient.frame, rep_of))
     for i in fr.agents:
         report = check_suitable(fil, i)
         if not report:
@@ -125,7 +106,6 @@ def check_suitable(fil: Filtration, i: int) -> MorphismReport:
     m = fil.source
     fr = frame_of(m)
     fr._check_agent(i)
-    index = fr._index
     worlds = fr.worlds
     table = fil.projection.as_dict()
     images = [table[w] for w in worlds]
@@ -147,27 +127,26 @@ def check_suitable(fil: Filtration, i: int) -> MorphismReport:
     for k, w in enumerate(worlds):
         s = succ[w]
         if s not in masks:
-            masks[s] = _mask(index, s)
+            masks[s] = _mask(fr._index, s)
         bad = masks[s] & ~related[k]
         if bad:
             return MorphismReport(False, "containment", (i, w, worlds[_lowest(bad)]))
+    boxes = [g for g in fil.closure if isinstance(g, (Box, Diamond)) and g.agent == i]
+    truths = _extensions(m, [h for g in boxes for h in (g, g.child)])
+    # a true box breaks at related worlds where its body is false, a false
+    # diamond at related worlds where its body is true
     modal = [
-        (g, extension(m, g), _mask(index, extension(m, g.child)))
-        for g in fil.closure
-        if isinstance(g, (Box, Diamond)) and g.agent == i
+        (~outer, inner) if isinstance(g, Diamond) else (outer, ~inner)
+        for g, outer, inner in zip(boxes, truths[::2], truths[1::2])
     ]
     for k, w1 in enumerate(worlds):
-        fails = []
-        union = 0
-        for g, outer, inner in modal:
-            if w1 in outer:
-                bad = related[k] & ~inner if isinstance(g, Box) else 0
-            else:
-                bad = related[k] & inner if isinstance(g, Diamond) else 0
-            fails.append((g, bad))
-            union |= bad
-        if union:
-            w2 = _lowest(union)
-            g = next(g for g, bad in fails if bad >> w2 & 1)
-            return MorphismReport(False, "transfer", (i, w1, worlds[w2], g))
+        # the lowest failing world first, then the first member failing there
+        fails = [
+            (_lowest(bad), j)
+            for j, (when, breaks) in enumerate(modal)
+            if when >> k & 1 and (bad := related[k] & breaks)
+        ]
+        if fails:
+            w2, j = min(fails)
+            return MorphismReport(False, "transfer", (i, w1, worlds[w2], boxes[j]))
     return MorphismReport(True)

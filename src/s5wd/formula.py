@@ -132,7 +132,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < length and text[j].isdigit():
                 j += 1
-            tokens.append(("nat", int(text[i:j]), i))
+            tokens.append(("nat", text[i:j], i))
             i = j
         elif "a" <= c <= "z":
             j = i
@@ -179,9 +179,11 @@ def parse(text: str, n: int, *, extended: bool = True) -> Formula:
                 raise ParseError(f"operator {kind} is not enabled", pos)
             agent = None
             if kind in ("[", "<"):
-                agent = expect("nat")
-                if not 1 <= agent <= n:
-                    raise AgentIndexError(f"agent index {agent} out of range 1..{n}")
+                # more digits than n: out of range, and never converted to int
+                digits = expect("nat").lstrip("0") or "0"
+                if len(digits) > len(str(n)) or not 1 <= int(digits) <= n:
+                    raise AgentIndexError(f"agent index {digits} out of range 1..{n}")
+                agent = int(digits)
                 expect("]" if kind == "[" else ">")
             ops.append((_PREFIX[kind], agent))
             continue
@@ -267,16 +269,23 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def _compile(f: Formula) -> list:
-    """f as a hash-consed DAG: (kind, arg, child ids, formula) nodes, children
-    before parents, root last.  kind is the node class, arg the atom name or
-    the agent index (else None), and formula the first subformula of f of
-    that shape.  Nodes are keyed by kind, arg and child ids, so equal
-    subformulas share one id without hashing formula trees.  Every structural
-    helper below reads this list; none recurses."""
+    """f as a hash-consed DAG (see _compile_all), root last."""
+    return _compile_all((f,))[0]
+
+
+def _compile_all(roots: Iterable[Formula]) -> tuple:
+    """The formulas of roots as one hash-consed DAG of (kind, arg, child ids,
+    formula) nodes, children before parents, and each root's node id.  kind
+    is the node class, arg the atom name or the agent index (else None), and
+    formula the first subformula of that shape met.  Nodes are keyed by kind,
+    arg and child ids, so equal subformulas share one id without hashing
+    formula trees.  Every structural helper below reads such a list; none
+    recurses."""
+    roots = tuple(roots)  # keeps every formula object, and so its id(), alive
     nodes: list = []
     ids: dict = {}
-    done: dict = {}  # id() of a formula object -> its node id; f keeps them alive
-    stack = [(f, False)]
+    done: dict = {}  # id() of a formula object -> its node id
+    stack = [(f, False) for f in reversed(roots)]
     while stack:
         g, ready = stack.pop()
         if id(g) in done:
@@ -294,7 +303,7 @@ def _compile(f: Formula) -> list:
             node = ids[key] = len(nodes)
             nodes.append((*key, g))
         done[id(g)] = node
-    return nodes
+    return nodes, [done[id(f)] for f in roots]
 
 
 def _preorder(nodes: list) -> list:
@@ -355,7 +364,11 @@ def subformula_closure(f: Formula) -> tuple[Formula, ...]:
     non-Not subformula's negation is already a member iff some Not node has
     it as its child.
     """
-    nodes = _s_free(_compile(f), "the closure")
+    return _closure(_s_free(_compile(f), "the closure"))
+
+
+def _closure(nodes: list) -> tuple:
+    """subformula_closure of an already compiled formula."""
     negated = {kids[0] for kind, _, kids, _ in nodes if kind is Not}
     order = _preorder(nodes)
     return tuple([nodes[k][3] for k in order] + [

@@ -30,6 +30,7 @@ from .formula import (
     Or,
     Some,
     _compile,
+    _compile_all,
 )
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -339,7 +340,7 @@ class _Kernel:
         return groups
 
     def run(self, atom_value, full: int) -> list:
-        """Root value per world in world order; atom_value(name) gives an
+        """Every node's per-world values, by node id; atom_value(name) gives an
         atom's per-world values and full has a bit set for every valuation."""
         values: list = []
         size = len(self.frame.worlds)
@@ -367,17 +368,24 @@ class _Kernel:
                 else:  # Iff
                     out = [full ^ a ^ b for a, b in pairs]
             values.append(out)
-        return values[-1]
+        return values
+
+
+def _extensions(m: Model, formulas: Iterable[Formula]) -> list:
+    """Each formula's extension in m as an int mask, bit k for the k-th world,
+    from one kernel run on the one valuation of m over the formulas' DAG."""
+    fr = m.frame
+    nodes, roots = _compile_all(formulas)
+    _check_nodes(fr, nodes)
+    truths = [m.atoms_at(w) for w in fr.worlds]
+    values = _Kernel(fr, nodes).run(lambda name: [int(name in t) for t in truths], 1)
+    return [int("".join(map(str, reversed(values[k]))), 2) for k in roots]
 
 
 def extension(m: Model, f: Formula) -> frozenset:
-    """Worlds of m at which f holds: the kernel run on the one valuation of m."""
-    fr = m.frame
-    nodes = _compile(f)
-    _check_nodes(fr, nodes)
-    truths = [m.atoms_at(w) for w in fr.worlds]
-    root = _Kernel(fr, nodes).run(lambda name: [int(name in t) for t in truths], 1)
-    return frozenset(w for w, x in zip(fr.worlds, root) if x)
+    """Worlds of m at which f holds."""
+    bits = reversed(bin(_extensions(m, (f,))[0]))  # bit k of the mask first
+    return frozenset(w for w, b in zip(m.frame.worlds, bits) if b == "1")
 
 
 def satisfies(m: Model, w, f: Formula) -> bool:
@@ -441,7 +449,7 @@ def _countermodel(fr: Frame, nodes: list, max_assignments: int) -> Optional[tupl
                 out.append(column[b] if b < batch else full * (start >> b & 1))
             return out
 
-        root = kernel.run(atom_value, full)
+        root = kernel.run(atom_value, full)[-1]
         falsified = 0
         for x in root:
             falsified |= full ^ x

@@ -1,5 +1,6 @@
 """Seeded random generators and shared fixtures for the test suite."""
 
+import dataclasses
 import json
 import random
 
@@ -25,7 +26,8 @@ import itertools
 
 from s5wd.broadcast import perfect_recall_state
 from s5wd.decide import frame_in_class
-from s5wd.formula import atoms
+from s5wd.filtration import Filtration
+from s5wd.formula import atoms, has_node, subformula_closure
 from s5wd.kripke import (
     BudgetError,
     Frame,
@@ -36,6 +38,7 @@ from s5wd.kripke import (
     _compile,
     _initial_color,
     _predecessors,
+    check_equivalence,
     equivalence_classes,
     extension,
     find_isomorphism,
@@ -382,7 +385,7 @@ class _DescentParser:
         return left
 
     def agent_index(self) -> int:
-        i = self.expect("nat")[1]
+        i = int(self.expect("nat")[1])
         if not 1 <= i <= self.n:
             raise AgentIndexError(f"agent index {i} out of range 1..{self.n}")
         return i
@@ -777,6 +780,74 @@ def check_suitable_by_pairs(fil, i: int) -> MorphismReport:
                 if isinstance(g, Diamond) and w2 in inner and w1 not in outer:
                     return MorphismReport(False, "transfer", (i, w1, w2, g))
     return MorphismReport(True)
+
+
+def world_equivalence_by_extensions(m, closure) -> list:
+    """world_equivalence with one extension call per closure member."""
+    truths = [extension(m, g) for g in closure]
+    groups: dict = {}
+    for w in frame_of(m).worlds:
+        groups.setdefault(tuple(w in t for t in truths), []).append(w)
+    return list(groups.values())
+
+
+def filtrate_by_extensions(m, f) -> Filtration:
+    """filtrate with one extension call per closure member and the quotient
+    relations built from pairs; the suitability check is left out."""
+    fr = frame_of(m)
+    if not check_equivalence(fr):
+        raise ValueError("filtration requires an equivalence model")
+    if has_node(f, Some):
+        raise ValueError("S must be expanded before filtration")
+    if has_node(f, Dist):
+        raise ValueError("the D operator is not supported by filtration")
+    closure = subformula_closure(f)
+    truths = [extension(m, g) for g in closure]
+    classes = world_equivalence_by_extensions(m, closure)
+    rep_of = {w: block[0] for block in classes for w in block}
+    reps = [block[0] for block in classes]
+
+    def modal_signature(i, w):
+        return tuple(
+            w in truths[k]
+            for k, g in enumerate(closure)
+            if isinstance(g, (Box, Diamond)) and g.agent == i
+        )
+
+    keep = set(atoms(f))
+    quotient = Model(
+        frame_by_label_pairs(fr.n, reps, modal_signature),
+        {r: tuple(a for a in m.atoms_at(r) if a in keep) for r in reps},
+    )
+    return Filtration(m, closure, quotient, WorldMap(fr, quotient.frame, rep_of))
+
+
+def two_block_model() -> Model:
+    """Agent 1 splits the four worlds in halves, agent 2 sees one cluster;
+    p alternates inside each agent-1 class."""
+    fr = frame_from_partitions(
+        2,
+        ["w0", "w1", "w2", "w3"],
+        [[["w0", "w1"], ["w2", "w3"]], [["w0", "w1", "w2", "w3"]]],
+    )
+    return Model(fr, {"w0": ("p",), "w2": ("p",)})
+
+
+def split_pair_model() -> Model:
+    """Agent 1 distinguishes the two worlds, agent 2 does not; p at w0."""
+    fr = frame_from_partitions(
+        2, ["w0", "w1"], [[["w0"], ["w1"]], [["w0", "w1"]]]
+    )
+    return Model(fr, {"w0": ("p",)})
+
+
+def with_agent_relation(fil, i: int, pairs) -> Filtration:
+    """fil with agent i's quotient relation replaced by pairs."""
+    q = fil.quotient.frame
+    rels = [set(pairs) if j == i else rel for j, rel in enumerate(q.relations, 1)]
+    return dataclasses.replace(
+        fil, quotient=Model(Frame(q.n, q.worlds, rels), dict(fil.quotient.valuation))
+    )
 
 
 def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):

@@ -83,6 +83,13 @@ class TestParse:
         assert "error:" in err
 
 
+    def test_long_agent_index_exits_one(self, capsys):
+        nines = "9" * 5000
+        code, out, err = run(capsys, ["parse", "--formula", f"[{nines}]p", "--n", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: agent index {nines} out of range 1..1\n"
+
+
 class TestCheck:
     def test_true_and_false(self, capsys, corner_files):
         model_path, _ = corner_files

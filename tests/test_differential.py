@@ -19,7 +19,7 @@ from s5wd.broadcast import (
     verify_hypercube_decomposition,
 )
 from s5wd.decide import CLASS_NAMES, enumerate_frames
-from s5wd.filtration import check_suitable, filtrate
+from s5wd.filtration import check_suitable, filtrate, world_equivalence
 from s5wd.formula import (
     And,
     Atom,
@@ -81,6 +81,7 @@ from helpers import (
     expand_s_by_recursion,
     extension_by_sets,
     f_map_by_definition,
+    filtrate_by_extensions,
     find_isomorphism_by_lists,
     frame_by_label_pairs,
     frame_to_full_system_by_tables,
@@ -101,9 +102,13 @@ from helpers import (
     random_model,
     random_nested_value,
     random_partition,
+    split_pair_model,
     subformula_closure_by_recursion,
     subformulas_by_recursion,
+    two_block_model,
     union_by_pairs,
+    with_agent_relation,
+    world_equivalence_by_extensions,
     world_key_by_json_dumps,
 )
 
@@ -415,6 +420,44 @@ def test_check_suitable_matches_pair_scan():
                 clauses.append(got.clause)
     assert clauses.count("containment") > 100 and clauses.count("transfer") > 50
     assert clauses.count(None) > 300
+
+
+def filtration_cases(rng: random.Random):
+    """The two models TestSuitability corrupts, filtrated through [1]p, then
+    random equivalence models of 1-8 worlds for n = 2 and 3 with random
+    formulas of depth 0-4 over p and q."""
+    yield two_block_model(), parse("[1]p", 2)
+    yield split_pair_model(), parse("[1]p", 2)
+    for _ in range(600):
+        n = rng.randint(2, 3)
+        m = random_model(rng, random_equivalence_frame(rng, n, rng.randint(1, 8)), ["p", "q"])
+        yield m, random_formula(rng, n, ["p", "q"], rng.randint(0, 4))
+
+
+def test_filtrate_matches_per_member_extensions():
+    clauses = []
+    for m, f in filtration_cases(random.Random(14)):
+        fil = filtrate(m, f)
+        expected = filtrate_by_extensions(m, f)
+        assert fil.closure == expected.closure
+        assert fil.quotient == expected.quotient
+        assert fil.projection == expected.projection
+        assert world_equivalence(m, fil.closure) == world_equivalence_by_extensions(m, fil.closure)
+        # as TestSuitability corrupts them: one agent's quotient relation cut
+        # to the identity (pairs deleted) or widened to all pairs (added)
+        reps = fil.quotient.frame.worlds
+        variants = [(fil, expected)] + [
+            (with_agent_relation(fil, i, pairs), with_agent_relation(expected, i, pairs))
+            for i in m.frame.agents
+            for pairs in ([(r, r) for r in reps], list(itertools.product(reps, repeat=2)))
+        ]
+        for got, want in variants:
+            for i in m.frame.agents:
+                report = check_suitable(got, i)
+                assert report == check_suitable_by_pairs(want, i)
+                clauses.append(report.clause)
+    assert clauses.count("containment") > 200 and clauses.count("transfer") > 100
+    assert clauses.count(None) > 1000
 
 
 def renamed_copy(rng: random.Random, x):

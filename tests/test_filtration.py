@@ -1,13 +1,14 @@
 """Tests for model filtration and suitability checking."""
 
-import dataclasses
+import itertools
 import random
 
 import pytest
 
+from s5wd import kripke
 from s5wd.decide import enumerate_frames
 from s5wd.filtration import Filtration, check_suitable, filtrate, world_equivalence
-from s5wd.formula import Atom, Box, formula_size, parse, subformula_closure
+from s5wd.formula import Atom, Box, Diamond, Not, formula_size, parse, subformula_closure
 from s5wd.kripke import (
     Frame,
     Model,
@@ -20,26 +21,15 @@ from s5wd.kripke import (
     satisfies,
 )
 
-from helpers import random_equivalence_frame, random_formula, random_model, random_partition
-
-
-def two_block_model():
-    """Agent 1 splits the four worlds in halves, agent 2 sees one cluster;
-    p alternates inside each agent-1 class."""
-    fr = frame_from_partitions(
-        2,
-        ["w0", "w1", "w2", "w3"],
-        [[["w0", "w1"], ["w2", "w3"]], [["w0", "w1", "w2", "w3"]]],
-    )
-    return Model(fr, {"w0": ("p",), "w2": ("p",)})
-
-
-def split_pair_model():
-    """Agent 1 distinguishes the two worlds, agent 2 does not; p at w0."""
-    fr = frame_from_partitions(
-        2, ["w0", "w1"], [[["w0"], ["w1"]], [["w0", "w1"]]]
-    )
-    return Model(fr, {"w0": ("p",)})
+from helpers import (
+    random_equivalence_frame,
+    random_formula,
+    random_model,
+    random_partition,
+    split_pair_model,
+    two_block_model,
+    with_agent_relation,
+)
 
 
 class TestWorldEquivalence:
@@ -154,18 +144,7 @@ class TestSuitability:
 
     def test_deleted_pair_fails_containment(self):
         fil = filtrate(two_block_model(), parse("[1]p", 2))
-        pruned = Frame(
-            2,
-            fil.quotient.frame.worlds,
-            [
-                {("w0", "w0"), ("w1", "w1")},
-                fil.quotient.frame.relations[1],
-            ],
-        )
-        corrupt = dataclasses.replace(
-            fil,
-            quotient=Model(pruned, dict(fil.quotient.valuation)),
-        )
+        corrupt = with_agent_relation(fil, 1, {("w0", "w0"), ("w1", "w1")})
         report = check_suitable(corrupt, 1)
         assert not report
         assert report.clause == "containment"
@@ -177,18 +156,7 @@ class TestSuitability:
         assert fil.quotient.frame.relations[0] == frozenset(
             {("w0", "w0"), ("w1", "w1")}
         )
-        widened = Frame(
-            2,
-            fil.quotient.frame.worlds,
-            [
-                {("w0", "w0"), ("w1", "w1"), ("w0", "w1"), ("w1", "w0")},
-                fil.quotient.frame.relations[1],
-            ],
-        )
-        corrupt = dataclasses.replace(
-            fil,
-            quotient=Model(widened, dict(fil.quotient.valuation)),
-        )
+        corrupt = with_agent_relation(fil, 1, itertools.product(("w0", "w1"), repeat=2))
         report = check_suitable(corrupt, 1)
         assert not report
         assert report.clause == "transfer"
@@ -302,3 +270,41 @@ class TestBoundForDirectedClasses:
         assert quotient.worlds == ("w0", "w1", "w3")
         assert check_equivalence(quotient)
         assert not check_wd(quotient) and not check_d(quotient)
+
+
+def nested(wrap, depth: int):
+    f = Atom("p")
+    for _ in range(depth):
+        f = wrap(f)
+    return f
+
+
+class TestOneKernelRun:
+    """Every closure member's truth comes from one kernel run over the
+    closure's shared DAG, so the number of runs does not grow with the
+    closure."""
+
+    def test_runs_do_not_depend_on_closure_size(self, monkeypatch):
+        runs = []
+        run = kripke._Kernel.run
+        monkeypatch.setattr(kripke._Kernel, "run", lambda *args: runs.append(1) or run(*args))
+        m = two_block_model()
+        counts = []
+        for f in (Atom("p"), parse("[1]" * 60 + "<2>" * 60 + "p", 2)):
+            runs.clear()
+            fil = filtrate(m, f)
+            counts.append((len(fil.closure), len(runs)))
+            runs.clear()
+            world_equivalence(m, fil.closure)
+            check_suitable(fil, 1)
+            assert len(runs) == 2
+        # one run for the classes and one per agent's suitability check
+        assert counts == [(2, 3), (242, 3)]
+
+    @pytest.mark.parametrize("wrap", [lambda g: Box(1, g), lambda g: Diamond(2, g), Not],
+                             ids=["box", "diamond", "not"])
+    def test_deep_formula_needs_no_recursion(self, wrap):
+        f = nested(wrap, 10_000)
+        fil = filtrate(split_pair_model(), f)
+        assert len(fil.closure) == (10_001 if wrap is Not else 20_002)
+        assert fil.quotient.frame.worlds == ("w0", "w1")

@@ -83,6 +83,22 @@ class TestParse:
         with pytest.raises(AgentIndexError):
             parse("<0>p", 2)
 
+    def test_long_agent_index_is_never_converted(self):
+        # more digits than n means out of range, whatever int conversion allows
+        nines = "9" * 5000
+        with pytest.raises(AgentIndexError) as err:
+            parse(f"p & [{nines}]p", 2)
+        assert str(err.value) == f"agent index {nines} out of range 1..2"
+        assert parse("<" + "0" * 5000 + "2>p", 2) == Diamond(2, P)
+        if hasattr(sys, "set_int_max_str_digits"):
+            limit = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(640)
+            try:
+                with pytest.raises(AgentIndexError, match="out of range 1..2"):
+                    parse("[" + "1" * 1000 + "]p", 2)
+            finally:
+                sys.set_int_max_str_digits(limit)
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("p q", 2)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .kripke import (
-    _ATOM_RE,
     AgentIndexError,
     BudgetError,
     Frame,
     Model,
+    _atom_names,
     _json_encoder,
     _json_field,
     _json_int,
@@ -223,11 +223,7 @@ class BroadcastEnvironment:
         state = _table_key(state, (True, True), "'valuation'",
                            "a state [joint action, private states]")
         self._check_state(state)
-        names = tuple(sorted(set(atoms)))
-        for a in names:
-            if not isinstance(a, str) or not _ATOM_RE.fullmatch(a):
-                raise ValueError(f"bad atom name: {a!r}")
-        return state, names
+        return state, _atom_names(atoms, "state", state)
 
     def _check_state(self, s) -> None:
         width = self.n + 1

@@ -128,15 +128,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif c in ("S", "D"):
             tokens.append((c, None, i))
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # not str.isdigit, which takes '²' and '٢' too
             j = i
-            while j < length and text[j].isdigit():
+            while j < length and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("nat", text[i:j], i))
             i = j
         elif "a" <= c <= "z":
             j = i
-            while j < length and (text[j].isdigit() or text[j] == "_" or "a" <= text[j] <= "z"):
+            while j < length and ("0" <= text[j] <= "9" or text[j] == "_" or "a" <= text[j] <= "z"):
                 j += 1
             tokens.append(("atom", text[i:j], i))
             i = j

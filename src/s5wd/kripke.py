@@ -124,11 +124,17 @@ class Frame:
         # test's memo keys) compare by identity instead of element by element
         shared: dict = {}
         succ = []
-        for pairs in rels:
+        for i, pairs in enumerate(rels, 1):
             table = {w: set() for w in worlds}
             for pair in pairs:
-                w, u = pair
-                if w not in index or u not in index:
+                try:
+                    # a string or a set would otherwise be unpacked as a pair
+                    w, u = pair if isinstance(pair, (list, tuple)) else ()
+                    known = w in index and u in index
+                except (TypeError, ValueError):
+                    bad = f"{pair!r:.80} in relation {i} is not a pair of worlds"
+                    raise ValueError(bad) from None
+                if not known:
                     raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
                 table[w].add(u)
             for w, v in table.items():
@@ -205,23 +211,7 @@ class Model:
     valuation: tuple
 
     def __post_init__(self):
-        items = dict(self.valuation)
-        for w in items:
-            if not self.frame.has_world(w):
-                raise ValueError(f"valuation references an unknown world {w!r}")
-        cooked = []
-        for w in self.frame.worlds:
-            names = items.get(w, ())
-            if not isinstance(names, (list, tuple, set, frozenset)):
-                # a string would otherwise be read as its characters
-                raise ValueError(f"valuation of world {w!r} is not a list of atoms: {names!r}")
-            names = tuple(sorted(set(names)))
-            for name in names:
-                if not isinstance(name, str) or not _ATOM_RE.fullmatch(name):
-                    raise ValueError(f"bad atom name {name!r}")
-            cooked.append((w, names))
-        object.__setattr__(self, "valuation", tuple(cooked))
-        object.__setattr__(self, "_atoms_at", {w: frozenset(names) for w, names in cooked})
+        _store_valuation(self, self.frame._index, "world")
 
     def atoms_at(self, w) -> frozenset:
         """Atom names true at w."""
@@ -229,6 +219,29 @@ class Model:
             return self._atoms_at[w]
         except KeyError:
             raise ValueError(f"unknown world {w!r}") from None
+
+
+def _atom_names(names, noun: str, owner) -> tuple:
+    """names, a list, tuple or set of atom names, as the sorted tuple of the
+    distinct ones; anything else, a string too, is no valuation of owner."""
+    if not isinstance(names, (list, tuple, set, frozenset)):
+        raise ValueError(f"valuation of {noun} {owner!r} is not a list of atoms: {names!r}")
+    for name in names:
+        if not isinstance(name, str) or not _ATOM_RE.fullmatch(name):
+            raise ValueError(f"bad atom name {name!r}")
+    return tuple(sorted(set(names)))
+
+
+def _store_valuation(owner, members, noun: str) -> None:
+    """Store owner.valuation, given from members (a dict) to atom names, as
+    (member, sorted names) pairs in members' order, and in owner._atoms_at."""
+    items = dict(owner.valuation)
+    for key in items:
+        if key not in members:
+            raise ValueError(f"valuation references an unknown {noun} {key!r}")
+    cooked = tuple((m, _atom_names(items.get(m, ()), noun, m)) for m in members)
+    object.__setattr__(owner, "valuation", cooked)
+    object.__setattr__(owner, "_atoms_at", {m: frozenset(names) for m, names in cooked})
 
 
 def frame_of(x: Union[Frame, Model]) -> Frame:
@@ -910,6 +923,30 @@ def _symbols(values, where: str) -> tuple:
     return tuple(values)
 
 
+def _agent_lists(data, n: int, field: str) -> Mapping:
+    """data[field], checked to be a JSON object from "1".."n" to lists."""
+    table = _json_object(data[field], f"'{field}'")
+    agents = {str(i) for i in range(1, n + 1)}
+    for key, entry in table.items():
+        if key not in agents:
+            raise ValueError(f"key {key!r:.80} in '{field}' names no agent 1..{n}")
+        _json_list(entry, f"{field[:-1]} {key}")
+    return table
+
+
+def _world_reader(worlds, message: str):
+    """The function from a world's world_key text to the world, for worlds;
+    any other value, a non-string too, raises ValueError(message % value)."""
+    by_key = {world_key(w): w for w in worlds}
+
+    def world(text):
+        if isinstance(text, str) and text in by_key:
+            return by_key[text]
+        raise ValueError(message % (text,))
+
+    return world
+
+
 def frame_from_json(data: Mapping) -> Frame:
     """Load a frame from the JSON dict form; accepts relations or partitions.
     A missing required field or a field of the wrong JSON type raises a
@@ -919,24 +956,16 @@ def frame_from_json(data: Mapping) -> Frame:
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")
     if "partitions" in data:
-        parts = _json_object(data["partitions"], "'partitions'")
+        parts = _agent_lists(data, n, "partitions")
         partitions = []
         for i in range(1, n + 1):
-            blocks = parts.get(str(i), parts.get(i))
-            if blocks is None:
+            if str(i) not in parts:
                 raise ValueError(f"missing partition for agent {i}")
-            where = f"a block of partition {i}"
-            partitions.append([_symbols(b, where) for b in _json_list(blocks, f"partition {i}")])
+            partitions.append([_symbols(b, f"a block of partition {i}") for b in parts[str(i)]])
         return frame_from_partitions(n, worlds, partitions)
     if "relations" not in data:
         raise ValueError("frame JSON needs 'relations' or 'partitions'")
-    rels = _json_object(data["relations"], "'relations'")
-    for i, pairs in rels.items():
-        for pair in _json_list(pairs, f"relation {i}"):
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or isinstance(pair[0], (list, dict)) or isinstance(pair[1], (list, dict))):
-                raise ValueError(f"{pair!r:.80} in relation {i} is not a pair of worlds")
-    return Frame(n, worlds, rels)
+    return Frame(n, worlds, _agent_lists(data, n, "relations"))
 
 
 def frame_from_partitions(n: int, worlds: Iterable, partitions) -> Frame:
@@ -957,14 +986,9 @@ def model_to_json(m: Model) -> dict:
 
 def model_from_json(data: Mapping) -> Model:
     fr = frame_from_json(data)
+    world = _world_reader(fr.worlds, "valuation references an unknown world %r")
     raw = _json_object(data.get("valuation", {}), "'valuation'")
-    by_key = {world_key(w): w for w in fr.worlds}
-    valuation = {}
-    for key, names in raw.items():
-        if key not in by_key:
-            raise ValueError(f"valuation references an unknown world {key!r}")
-        valuation[by_key[key]] = names
-    return Model(fr, valuation)
+    return Model(fr, {world(key): names for key, names in raw.items()})
 
 
 def world_map_to_json(wm: WorldMap) -> dict:
@@ -974,13 +998,8 @@ def world_map_to_json(wm: WorldMap) -> dict:
 def world_map_from_json(
     data: Mapping, source: Union[Frame, Model], target: Union[Frame, Model]
 ) -> WorldMap:
-    src_by_key = {world_key(w): w for w in frame_of(source).worlds}
-    tgt_by_key = {world_key(w): w for w in frame_of(target).worlds}
-    mapping = {}
-    for key, value in _json_object(_json_field(data, "map", "world map JSON"), "'map'").items():
-        if key not in src_by_key:
-            raise ValueError(f"map key {key!r} is not a source world")
-        if value not in tgt_by_key:
-            raise ValueError(f"map value {value!r} is not a target world")
-        mapping[src_by_key[key]] = tgt_by_key[value]
+    source_world = _world_reader(frame_of(source).worlds, "map key %r is not a source world")
+    target_world = _world_reader(frame_of(target).worlds, "map value %r is not a target world")
+    table = _json_object(_json_field(data, "map", "world map JSON"), "'map'")
+    mapping = {source_world(key): target_world(value) for key, value in table.items()}
     return WorldMap(source, target, mapping)

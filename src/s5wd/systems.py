@@ -20,7 +20,9 @@ from .kripke import (
     _json_int,
     _json_list,
     _json_object,
+    _store_valuation,
     _symbols,
+    _world_reader,
     check_d,
     check_equivalence,
     check_i,
@@ -105,18 +107,7 @@ class InterpretedSystem:
     valuation: tuple
 
     def __post_init__(self):
-        raw = self.valuation
-        items = dict(raw)
-        state_set = set(self.system.states)
-        for state in items:
-            if tuple(state) not in state_set:
-                raise ValueError(f"valuation references an unknown state {state!r}")
-        items = {tuple(state): names for state, names in items.items()}
-        cooked = tuple(
-            (state, tuple(sorted(set(items.get(state, ()))))) for state in self.system.states
-        )
-        object.__setattr__(self, "valuation", cooked)
-        object.__setattr__(self, "_atoms_at", {s: frozenset(a) for s, a in cooked})
+        _store_valuation(self, dict.fromkeys(self.system.states), "state")
 
     def atoms_at(self, state) -> frozenset:
         try:
@@ -132,8 +123,7 @@ def f_map(s: GlobalStateSystem) -> Frame:
 
 def f_map_interpreted(isys: InterpretedSystem) -> Model:
     """Model on the states, carrying the interpreted valuation across."""
-    fr = f_map(isys.system)
-    return Model(fr, {state: isys.atoms_at(state) for state in isys.system.states})
+    return Model(f_map(isys.system), isys.valuation)
 
 
 def is_hypercube(s: GlobalStateSystem) -> bool:
@@ -253,11 +243,6 @@ def interpreted_to_json(isys: InterpretedSystem) -> dict:
 
 def interpreted_from_json(data: Mapping) -> InterpretedSystem:
     system = system_from_json(data)
+    state = _world_reader(system.states, "valuation references an unknown state %r")
     raw = _json_object(data.get("valuation", {}), "'valuation'")
-    by_key = {world_key(state): state for state in system.states}
-    valuation = {}
-    for key, names in raw.items():
-        if key not in by_key:
-            raise ValueError(f"valuation references an unknown state {key!r}")
-        valuation[by_key[key]] = tuple(names)
-    return InterpretedSystem(system, valuation)
+    return InterpretedSystem(system, {state(key): names for key, names in raw.items()})

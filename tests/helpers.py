@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 from s5wd.formula import (
     AgentIndexError,
@@ -193,6 +194,28 @@ def row_diagonal_morphism() -> WorldMap:
     )
     target = frame_from_partitions(2, ["a", "b"], [[["a", "b"]], [["a", "b"]]])
     return WorldMap(source, target, {"a0": "a", "b0": "b", "a1": "a", "b1": "b"})
+
+
+def valuation_by_loop(members, valuation) -> tuple:
+    """Model's valuation loop before the shared normaliser: (member, sorted
+    distinct atom names) for each of members, () where valuation has none.
+    It sorts before it checks, so a name that is no string can raise a raw
+    TypeError instead of a ValueError."""
+    items = dict(valuation)
+    for w in items:
+        if w not in members:
+            raise ValueError(f"valuation references an unknown member {w!r}")
+    cooked = []
+    for w in members:
+        names = items.get(w, ())
+        if not isinstance(names, (list, tuple, set, frozenset)):
+            raise ValueError(f"valuation of {w!r} is not a list of atoms: {names!r}")
+        names = tuple(sorted(set(names)))
+        for name in names:
+            if not isinstance(name, str) or not re.fullmatch(r"[a-z][a-z0-9_]*", name):
+                raise ValueError(f"bad atom name {name!r}")
+        cooked.append((w, names))
+    return tuple(cooked)
 
 
 def random_hypercube(rng: random.Random, n: int, max_axis: int = 3) -> GlobalStateSystem:

@@ -89,6 +89,15 @@ class TestParse:
         assert (code, out) == (1, "")
         assert err == f"error: agent index {nines} out of range 1..1\n"
 
+    @pytest.mark.parametrize("formula", ["[²]p", "[٢]p", "p٢"])
+    def test_non_ascii_digit_exits_one(self, capsys, corner_files, formula):
+        # each was an int() error, agent 2 or an atom no model can hold
+        model_path, _ = corner_files
+        message = f"error: unexpected character {formula[1]!r} (at position 1)\n"
+        for argv in (["parse", "--formula", formula, "--n", "2"],
+                     ["check", "--model", model_path, "--world", "w0", "--formula", formula]):
+            assert run(capsys, argv) == (1, "", message)
+
 
 class TestCheck:
     def test_true_and_false(self, capsys, corner_files):
@@ -170,6 +179,13 @@ MALFORMED = [
     ({"relations": {"1": [["a", "a", "a"]]}},
      "['a', 'a', 'a'] in relation 1 is not a pair of worlds"),
     ({"valuation": ["a"]}, "'valuation' is not an object: ['a']"),
+    ({"relations": {"1": ["aa"]}}, "'aa' in relation 1 is not a pair of worlds"),
+    ({"relations": {"1": [["a", ["a"]]]}}, "['a', ['a']] in relation 1 is not a pair of worlds"),
+    ({"relations": {"1": 5}}, "relation 1 is not a list: 5"),
+    ({"relations": {"01": [["a", "a"]]}}, "key '01' in 'relations' names no agent 1..1"),
+    ({"relations": {"1": [["a", "a"]], "2": []}}, "key '2' in 'relations' names no agent 1..1"),
+    ({"partitions": {"1": [["a"]], "3": [["a"]]}}, "key '3' in 'partitions' names no agent 1..1"),
+    ({"partitions": {" 1": [["a"]]}}, "key ' 1' in 'partitions' names no agent 1..1"),
 ]
 
 
@@ -220,6 +236,38 @@ def test_malformed_map_and_system_valuation(capsys, tmp_path):
 
 
 SYSTEM = {"n": 1, "env": ["e"], "locals": [["a"]], "states": [["e", "a"]]}
+ENV = {"n": 1, "external_actions": [["eps"], ["eps"]], "internal_actions": [["eps"], ["eps"]],
+       "private_states": [["0"], ["0"]], "initial_private": [["0"], ["0"]]}
+# one valued document per loader: the argv before the file, and the one key
+VALUED = [
+    (["validate-model", "--model"], {"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}},
+     "a"),
+    (["f-map", "--system"], SYSTEM, '["e","a"]'),
+    (["broadcast", "simulate", "--depth", "1", "--env"], ENV, '[["eps","eps"],["0","0"]]'),
+]
+RAW_ERRORS = ("unhashable", "not supported between", "is not iterable", "Traceback")
+
+
+@pytest.mark.parametrize("argv, doc, key", VALUED, ids=["model", "system", "environment"])
+@pytest.mark.parametrize("atoms", ["pq", 5, {"p": 1}, None, ["p", 1], ["p", ["q"]], ["P"]])
+def test_malformed_atom_list(capsys, tmp_path, argv, doc, key, atoms):
+    # a string was read as its letters and a dict as its keys, and a list
+    # holding a number or a list was sorted before it was checked
+    path = tmp_path / "valued.json"
+    path.write_text(json.dumps(dict(doc, valuation={key: atoms})))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(text in err for text in RAW_ERRORS)
+
+
+@pytest.mark.parametrize("value", [["a"], {"a": 1}, 1, None])
+def test_map_value_that_is_not_a_world_key(capsys, tmp_path, value):
+    frame, path = tmp_path / "frame.json", tmp_path / "map.json"
+    frame.write_text(json.dumps({"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}}))
+    path.write_text(json.dumps({"map": {"a": value}}))
+    argv = ["pmorph", "--map", str(path), "--source", str(frame), "--target", str(frame)]
+    assert run(capsys, argv) == (1, "", f"error: map value {value!r} is not a target world\n")
 
 
 @pytest.mark.parametrize("data, message", [

@@ -63,6 +63,7 @@ from s5wd.kripke import (
     world_key,
 )
 from s5wd.systems import (
+    InterpretedSystem,
     f_map,
     frame_to_full_system,
     frame_to_hypercube,
@@ -107,6 +108,7 @@ from helpers import (
     subformulas_by_recursion,
     two_block_model,
     union_by_pairs,
+    valuation_by_loop,
     with_agent_relation,
     world_equivalence_by_extensions,
     world_key_by_json_dumps,
@@ -641,3 +643,68 @@ def test_formula_helpers_match_recursive_walks():
             )
         with_s += has_s
     assert with_s > 200
+
+
+def random_atom_list(rng: random.Random):
+    """A list, tuple, set or frozenset of atom names with repeats, often
+    empty, and now and then an entry no valuation may hold."""
+    if rng.random() < 0.06:
+        return rng.choice(["pq", "p", 5, None, {"p": 1}, ["p", 1], ["p", ["q"]], ["P"], ("p_",)])
+    names = [rng.choice(["p", "q", "r1", "s_t", "z"]) for _ in range(rng.randint(0, 4))]
+    return rng.choice([list, tuple, set, frozenset])(names)
+
+
+def stored_or_error(build, members, valuation):
+    """build's stored valuation and the oracle's, or "error" for both when the
+    oracle rejects the input, where build must raise a ValueError even if the
+    oracle (which sorts before it checks) raised a raw TypeError."""
+    try:
+        expected = valuation_by_loop(members, valuation)
+    except (ValueError, TypeError):
+        with pytest.raises(ValueError):
+            build()
+        return "error", "error"
+    return build(), expected
+
+
+def test_valuations_match_model_loop():
+    """Model, InterpretedSystem and BroadcastEnvironment store what the old
+    Model loop stored: sorted distinct names in member order, the environment
+    its nonempty entries in _key order."""
+    rng = random.Random(15)
+    blank = (EPSILON, EPSILON)
+    private = tuple(f"p{k}" for k in range(6))
+    env_states = [(blank, ("e", p)) for p in private]
+    for _ in range(300):
+        fr = random_equivalence_frame(rng, rng.randint(1, 2), rng.randint(1, 6))
+        chosen = rng.sample(fr.worlds, rng.randint(0, len(fr.worlds)))
+        valuation = {w: random_atom_list(rng) for w in chosen}
+        got, expected = stored_or_error(
+            lambda: Model(fr, valuation).valuation, fr.worlds, valuation
+        )
+        assert got == expected
+
+        system = random_hypercube(rng, rng.randint(1, 2))
+        chosen = rng.sample(system.states, rng.randint(0, len(system.states)))
+        valuation = [(s, random_atom_list(rng)) for s in chosen]
+        got, expected = stored_or_error(
+            lambda: InterpretedSystem(system, valuation).valuation, system.states, valuation
+        )
+        assert got == expected
+
+        chosen = rng.sample(env_states, rng.randint(0, len(env_states)))
+        valuation = {s: random_atom_list(rng) for s in chosen}
+
+        def stored():
+            return BroadcastEnvironment(
+                1, external_actions=((EPSILON,), (EPSILON,)),
+                internal_actions=((EPSILON,), (EPSILON,)), private_states=(("e",), private),
+                initial_private=(("e",), private), valuation=valuation,
+            ).valuation
+
+        got, expected = stored_or_error(stored, tuple(valuation), valuation)
+        if expected != "error":
+            expected = tuple(sorted(
+                (kv for kv in expected if kv[1]), key=lambda kv: key_by_json_dumps(kv[0])
+            ))
+        assert got == expected

@@ -99,6 +99,16 @@ class TestParse:
             finally:
                 sys.set_int_max_str_digits(limit)
 
+    @pytest.mark.parametrize("text, position", [
+        ("[²]p", 1), ("<٢>p", 1), ("[1²]p", 2), ("p²", 1), ("q_٢ & p", 2),
+    ])
+    def test_only_ascii_digits(self, text, position):
+        # str.isdigit also takes superscripts and other scripts' digits
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert err.value.position == position
+        assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("p q", 2)

@@ -79,6 +79,14 @@ class TestFrameConstruction:
         with pytest.raises(ValueError):
             Frame(1, ["w0"], [[("w0", "zz")]])
 
+    @pytest.mark.parametrize("pair", [("a",), "ab", ("a", "b", "a"), {"a", "b"}, ("a", ["b"]), 5])
+    def test_pair_of_another_shape(self, pair):
+        # "ab" was unpacked as ("a", "b"), and a set in either order
+        message = f"{pair!r} in relation 2 is not a pair of worlds"
+        with pytest.raises(ValueError) as err:
+            Frame(2, ["a", "b"], [[("a", "a")], [("b", "b"), pair]])
+        assert str(err.value) == message
+
     def test_empty_worlds(self):
         with pytest.raises(ValueError):
             Frame(1, [], [[]])
@@ -673,8 +681,23 @@ class TestJson:
 
     def test_world_map_bad_keys(self):
         wm = row_diagonal_morphism()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="map key 'zz' is not a source world"):
             world_map_from_json({"map": {"zz": "a"}}, wm.source, wm.target)
+        for value in ("zz", ["a"], {"a": 0}, 0):
+            with pytest.raises(ValueError, match="is not a target world"):
+                world_map_from_json({"map": {"a0": value}}, wm.source, wm.target)
+
+    def test_agent_keys_name_agents(self):
+        # a key other than "1".."n" was dropped, so agent 1 had no relation
+        base = {"n": 1, "worlds": ["a", "b"]}
+        for field, table in (("relations", {"01": [["a", "a"], ["b", "b"]]}),
+                             ("relations", {"1": [], "2": []}),
+                             ("relations", {1: [["a", "a"]]}),
+                             ("partitions", {"1": [["a", "b"]], "3": [["a", "b"]]})):
+            key = next(k for k in table if k != "1")
+            with pytest.raises(ValueError) as err:
+                frame_from_json({**base, field: table})
+            assert str(err.value) == f"key {key!r} in {field!r} names no agent 1..1"
 
     def test_tuple_worlds_encode(self):
         both = disjoint_union(total_frame(1, 2), identity_frame(1, 1))

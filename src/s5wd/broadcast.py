@@ -288,7 +288,7 @@ class AgentProtocol:
         if self.kind == "play-any-card":
             hand = obs[1]
             if hand:
-                return tuple((frozenset({c}), EPSILON) for c in sorted(hand))
+                return tuple((frozenset({c}), EPSILON) for c in _sorted_tuple(hand))
             return ((frozenset(), EPSILON),)
         actions = self._table_map.get(obs)
         if actions is None:
@@ -525,37 +525,21 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
         axis_sizes = tuple(len(axis) for axis in axes)
         product_size = math.prod(axis_sizes)
         realized = set(coords.values())
+        reason, witness = None, ()
         if mode == "hypercube" and len(members) != product_size:
-            missing = next(
-                t for t in itertools.product(*axes) if t not in realized
-            )
-            reports.append(
-                ComponentReport(members, shared, axis_sizes, False,
-                                "missing-tuple", (missing,))
-            )
-            continue
-        if mode == "full":
-            seen = {c[1:] for c in realized}
-            if len(seen) != product_size // axis_sizes[0]:
-                hole = next(
-                    combo
-                    for combo in itertools.product(
-                        *(sorted(axis, key=world_key) for axis in axes[1:])
-                    )
-                    if combo not in seen
-                )
-                reports.append(
-                    ComponentReport(members, shared, axis_sizes, False,
-                                    "not-full", (hole,))
-                )
-                continue
-        if not _recall_map_is_isomorphism(fr, members, coords):
-            reports.append(
-                ComponentReport(members, shared, axis_sizes, False,
-                                "not-isomorphic", ())
-            )
-            continue
-        reports.append(ComponentReport(members, shared, axis_sizes, True))
+            reason = "missing-tuple"
+            witness = (next(t for t in itertools.product(*axes) if t not in realized),)
+        elif mode == "full" and (
+            len(seen := {c[1:] for c in realized}) != product_size // axis_sizes[0]
+        ):
+            reason = "not-full"
+            ordered = (sorted(axis, key=world_key) for axis in axes[1:])
+            witness = (next(c for c in itertools.product(*ordered) if c not in seen),)
+        elif not _recall_map_is_isomorphism(fr, members, coords):
+            reason = "not-isomorphic"
+        reports.append(
+            ComponentReport(members, shared, axis_sizes, reason is None, reason, witness)
+        )
     return DecompositionReport(tuple(reports), all(r.ok for r in reports))
 
 
@@ -579,74 +563,55 @@ def build_card_game(deck_size: int, hand_size: int, modeling: str = "simple"):
     if modeling not in ("simple", "rich"):
         raise ValueError(f"unknown modeling {modeling!r}")
     n = 2
+    simple = modeling == "simple"
     deck = tuple(f"c{k}" for k in range(deck_size))
-    full_deck = frozenset(deck)
+    full_deck, empty = frozenset(deck), frozenset()
     hands0 = [frozenset(c) for c in itertools.combinations(deck, hand_size)]
-    plays = (EPSILON, frozenset()) + tuple(frozenset({c}) for c in deck)
-    blank = (EPSILON,) * (n + 1)
+    plays = (EPSILON, empty) + tuple(frozenset({c}) for c in deck)
+    initial = [
+        ("1" if simple else (full_deck - h1, full_deck - h2, empty, empty), h1, h2)
+        for h1 in hands0
+        for h2 in hands0
+    ]
 
-    if modeling == "simple":
-        initial = [(blank, ("1", h1, h2)) for h1 in hands0 for h2 in hands0]
-    else:
-        initial = [
-            (blank, ((full_deck - h1, full_deck - h2, frozenset(), frozenset()), h1, h2))
-            for h1 in hands0
-            for h2 in hands0
-        ]
-
-    # close the state space under play-any-card with a passive environment,
-    # recording transition entries along the way
+    # close the private-state tuples under play-any-card with a passive
+    # environment (a step reads nothing else), recording each transition and
+    # valuation entry as the successor is built
+    play = AgentProtocol("play-any-card").enabled  # reads only the hand
     tau = [{}, {}, {}]
+    valuation = {}
     seen = set(initial)
-    frontier = list(initial)
+    frontier = initial
     while frontier:
         grown = []
-        for s in frontier:
-            _, priv = s
-            options = []
-            for hand in (priv[1], priv[2]):
-                if hand:
-                    options.append([frozenset({c}) for c in sorted(hand)])
-                else:
-                    options.append([frozenset()])
-            for c1, c2 in itertools.product(*options):
+        for priv in frontier:
+            p0, h1, h2 = priv
+            for (c1, _), (c2, _) in itertools.product(play((None, h1)), play((None, h2))):
                 ext = (EPSILON, c1, c2)
-                if modeling == "simple":
-                    p0 = "1"
-                else:
-                    d1, d2, f1, f2 = priv[0]
-                    p0 = (d1 | f1, d2 | f2, c1, c2)
-                tau[0][(ext, EPSILON, priv[0])] = p0
-                tau[1][(ext, EPSILON, priv[1])] = priv[1] - c1
-                tau[2][(ext, EPSILON, priv[2])] = priv[2] - c2
-                t = (ext, (p0, priv[1] - c1, priv[2] - c2))
+                q0 = "1" if simple else (p0[0] | p0[2], p0[1] | p0[3], c1, c2)
+                t = (q0, h1 - c1, h2 - c2)
+                for i in range(3):
+                    tau[i][(ext, EPSILON, priv[i])] = t[i]
+                if c1 and c1 == c2:
+                    valuation[(ext, t)] = ("face_up_matches",)
                 if t not in seen:
                     seen.add(t)
                     grown.append(t)
         frontier = grown
 
-    pools = [set(), set(), set()]
-    for _, priv in seen:
-        for i in range(3):
-            pools[i].add(priv[i])
-    valuation = {
-        s: ("face_up_matches",)
-        for s in seen
-        if isinstance(s[0][1], frozenset) and len(s[0][1]) == 1 and s[0][1] == s[0][2]
-    }
-    common = dict(
+    start = (
+        {"initial_private": (("1",), hands0, hands0)} if simple
+        else {"initial_states": [((EPSILON,) * 3, priv) for priv in initial]}
+    )
+    env = BroadcastEnvironment(
+        n,
         external_actions=((EPSILON,), plays, plays),
         internal_actions=((EPSILON,), (EPSILON,), (EPSILON,)),
-        private_states=tuple(pools),
+        private_states=tuple(zip(*seen)),
         transitions=tau,
         valuation=valuation,
+        **start,
     )
-    if modeling == "simple":
-        env = BroadcastEnvironment(
-            n, initial_private=(("1",), hands0, hands0), **common
-        )
-    else:
-        env = BroadcastEnvironment(n, initial_states=initial, **common)
     return env, play_any_card_protocol(n)
 
 

@@ -337,17 +337,21 @@ def _cmd_broadcast_simulate(args) -> int:
     if args.protocol is not None:
         proto = bc.protocol_from_json(_load_json(args.protocol))
     fr = bc.generate_frame(env, proto, args.depth, max_worlds=args.max_worlds)
+    report = None
+    if args.verify is not None:
+        report = bc.verify_hypercube_decomposition(fr, mode=args.verify)
     data = {
         "n": env.n,
         "depth": args.depth,
         "homogeneous": env.homogeneous,
         "worlds": len(fr.worlds),
-        "components": len(component_members(fr)),
+        # one report per component, so the report's count saves a second pass
+        "components": len(component_members(fr) if report is None else report.components),
     }
     lines = [f"{key}: {data[key]}" for key in ("n", "depth", "homogeneous", "worlds", "components")]
     code = 0
-    if args.verify is not None:
-        report = bc.verify_hypercube_decomposition(fr, mode=args.verify)
+    # a failed report is falsy, so test for None
+    if report is not None:
         data["verify"] = {
             "mode": args.verify,
             "ok": report.ok,

@@ -542,8 +542,11 @@ def check_wd(fr: Frame) -> bool:
     Tests the condition: whenever each w_i (i = 1..n) is one step from some
     common w_0 under any relation, some w satisfies w_i R_i w for all i.
     Neighborhoods with the same distinct successor sets share one verdict.
+    D implies WD, so the global join test comes first and seeds the memo.
     """
     known: dict = {}
+    if _all_joined(_distinct_successors(fr, fr.worlds), known):
+        return True
     # kept apart from known: the family of an empty neighborhood equals the
     # tuple of n empty successor sets, which has the opposite verdict
     families: dict = {}

@@ -111,8 +111,8 @@ class InterpretedSystem:
 
     def atoms_at(self, state) -> frozenset:
         try:
-            return self._atoms_at[tuple(state)]
-        except KeyError:
+            return self._atoms_at[state]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown state {state!r}") from None
 
 

@@ -24,8 +24,23 @@ from s5wd.formula import (
     negation,
 )
 import itertools
+import math
 
-from s5wd.broadcast import perfect_recall_state
+from s5wd.broadcast import (
+    EPSILON,
+    AgentProtocol,
+    BroadcastEnvironment,
+    ComponentReport,
+    DecompositionReport,
+    JointProtocol,
+    _recall_map_is_isomorphism,
+    action_sequence,
+    build_card_game,
+    generate_frame,
+    perfect_recall_state,
+    play_any_card_protocol,
+    verify_hypercube_decomposition,
+)
 from s5wd.decide import frame_in_class
 from s5wd.filtration import Filtration
 from s5wd.formula import atoms, has_node, subformula_closure
@@ -40,12 +55,14 @@ from s5wd.kripke import (
     _initial_color,
     _predecessors,
     check_equivalence,
+    component_members,
     equivalence_classes,
     extension,
     find_isomorphism,
     frame_from_partitions,
     frame_of,
     is_connected,
+    world_key,
 )
 from s5wd.systems import (
     GlobalStateSystem,
@@ -1050,3 +1067,235 @@ def random_nested_value(rng: random.Random, depth: int = 4):
         except TypeError:  # an unhashable member
             return tuple(members)
     return kind(members)
+
+
+def build_card_game_by_full_states(deck_size: int, hand_size: int, modeling: str = "simple"):
+    """build_card_game closing over full states (face-up pair, private
+    states) with its own play loop, then reading pools and valuation off the
+    closed set in a second pass."""
+    if deck_size < 1 or not 0 <= hand_size <= deck_size:
+        raise ValueError("need deck_size >= 1 and 0 <= hand_size <= deck_size")
+    if modeling not in ("simple", "rich"):
+        raise ValueError(f"unknown modeling {modeling!r}")
+    n = 2
+    deck = tuple(f"c{k}" for k in range(deck_size))
+    full_deck = frozenset(deck)
+    hands0 = [frozenset(c) for c in itertools.combinations(deck, hand_size)]
+    plays = (EPSILON, frozenset()) + tuple(frozenset({c}) for c in deck)
+    blank = (EPSILON,) * (n + 1)
+
+    if modeling == "simple":
+        initial = [(blank, ("1", h1, h2)) for h1 in hands0 for h2 in hands0]
+    else:
+        initial = [
+            (blank, ((full_deck - h1, full_deck - h2, frozenset(), frozenset()), h1, h2))
+            for h1 in hands0
+            for h2 in hands0
+        ]
+
+    tau = [{}, {}, {}]
+    seen = set(initial)
+    frontier = list(initial)
+    while frontier:
+        grown = []
+        for s in frontier:
+            _, priv = s
+            options = []
+            for hand in (priv[1], priv[2]):
+                if hand:
+                    options.append([frozenset({c}) for c in sorted(hand)])
+                else:
+                    options.append([frozenset()])
+            for c1, c2 in itertools.product(*options):
+                ext = (EPSILON, c1, c2)
+                if modeling == "simple":
+                    p0 = "1"
+                else:
+                    d1, d2, f1, f2 = priv[0]
+                    p0 = (d1 | f1, d2 | f2, c1, c2)
+                tau[0][(ext, EPSILON, priv[0])] = p0
+                tau[1][(ext, EPSILON, priv[1])] = priv[1] - c1
+                tau[2][(ext, EPSILON, priv[2])] = priv[2] - c2
+                t = (ext, (p0, priv[1] - c1, priv[2] - c2))
+                if t not in seen:
+                    seen.add(t)
+                    grown.append(t)
+        frontier = grown
+
+    pools = [set(), set(), set()]
+    for _, priv in seen:
+        for i in range(3):
+            pools[i].add(priv[i])
+    valuation = {
+        s: ("face_up_matches",)
+        for s in seen
+        if isinstance(s[0][1], frozenset) and len(s[0][1]) == 1 and s[0][1] == s[0][2]
+    }
+    common = dict(
+        external_actions=((EPSILON,), plays, plays),
+        internal_actions=((EPSILON,), (EPSILON,), (EPSILON,)),
+        private_states=tuple(pools),
+        transitions=tau,
+        valuation=valuation,
+    )
+    if modeling == "simple":
+        env = BroadcastEnvironment(n, initial_private=(("1",), hands0, hands0), **common)
+    else:
+        env = BroadcastEnvironment(n, initial_states=initial, **common)
+    return env, play_any_card_protocol(n)
+
+
+def verify_hypercube_decomposition_by_exits(fr: Frame, *, mode: str = "hypercube"):
+    """verify_hypercube_decomposition with one report and exit per failed check."""
+    if mode not in ("hypercube", "full"):
+        raise ValueError(f"unknown mode {mode!r}")
+    reports = []
+    for members in component_members(fr):
+        shared = action_sequence(members[0])
+        mismatch = next(
+            (tr for tr in members if action_sequence(tr) != shared), None
+        )
+        if mismatch is not None:
+            reports.append(
+                ComponentReport(members, None, (), False, "action-mismatch",
+                                (members[0], mismatch))
+            )
+            continue
+        width = len(members[0][0][1])
+        coords = {
+            tr: tuple(perfect_recall_state(tr, i) for i in range(width))
+            for tr in members
+        }
+        axes = [list(dict.fromkeys(coords[tr][i] for tr in members)) for i in range(width)]
+        axis_sizes = tuple(len(axis) for axis in axes)
+        product_size = math.prod(axis_sizes)
+        realized = set(coords.values())
+        if mode == "hypercube" and len(members) != product_size:
+            missing = next(
+                t for t in itertools.product(*axes) if t not in realized
+            )
+            reports.append(
+                ComponentReport(members, shared, axis_sizes, False,
+                                "missing-tuple", (missing,))
+            )
+            continue
+        if mode == "full":
+            seen = {c[1:] for c in realized}
+            if len(seen) != product_size // axis_sizes[0]:
+                hole = next(
+                    combo
+                    for combo in itertools.product(
+                        *(sorted(axis, key=world_key) for axis in axes[1:])
+                    )
+                    if combo not in seen
+                )
+                reports.append(
+                    ComponentReport(members, shared, axis_sizes, False,
+                                    "not-full", (hole,))
+                )
+                continue
+        if not _recall_map_is_isomorphism(fr, members, coords):
+            reports.append(
+                ComponentReport(members, shared, axis_sizes, False,
+                                "not-isomorphic", ())
+            )
+            continue
+        reports.append(ComponentReport(members, shared, axis_sizes, True))
+    return DecompositionReport(tuple(reports), all(r.ok for r in reports))
+
+
+def pruned_card_frame() -> tuple:
+    """The deck-4/hand-2 card-game frame at depth 2 without the middle trace
+    of its first 9-member component, and that trace."""
+    env, proto = build_card_game(4, 2)
+    fr = generate_frame(env, proto, 2)
+    report = verify_hypercube_decomposition(fr)
+    victim = next(c for c in report.components if len(c.members) == 9).members[4]
+    keep = set(fr.worlds) - {victim}
+    relations = [{(a, b) for a, b in rel if a in keep and b in keep} for rel in fr.relations]
+    return Frame(2, [tr for tr in fr.worlds if tr != victim], relations), victim
+
+
+def merged_card_frame() -> tuple:
+    """The deck-4/hand-2 card-game frame at depth 2 with two of agent 1's
+    classes in its first 9-member component merged into one, and that
+    component's members."""
+    env, proto = build_card_game(4, 2)
+    fr = generate_frame(env, proto, 2)
+    report = verify_hypercube_decomposition(fr)
+    victim = next(c for c in report.components if len(c.members) == 9)
+    first = victim.members[0]
+    other = next(
+        tr for tr in victim.members
+        if perfect_recall_state(tr, 1) != perfect_recall_state(first, 1)
+    )
+    merged = fr.succ(1, first) | fr.succ(1, other)
+    agent1 = set(fr.relations[0]) | {(a, b) for a in merged for b in merged}
+    return Frame(2, fr.worlds, [agent1, fr.relations[1]]), victim.members
+
+
+def glued_card_frame() -> Frame:
+    """Two depth-2 traces of the deck-2/hand-1 card game with different
+    action sequences, related by agent 1."""
+    env, proto = build_card_game(2, 1)
+    fr = generate_frame(env, proto, 2)
+    long = [tr for tr in fr.worlds if len(tr) == 2]
+    a, b = next(
+        (x, y) for x in long for y in long
+        if action_sequence(x) != action_sequence(y)
+    )
+    return Frame(2, [a, b], [{(a, a), (b, b), (a, b), (b, a)}, {(a, a), (b, b)}])
+
+
+def random_broadcast_environment(rng: random.Random) -> tuple:
+    """A random broadcast environment and joint table protocol.
+
+    n is 1..3.  Every agent, the environment (agent 0) too, has 1-2 external
+    actions (EPSILON among them), 1-2 internal actions and 1-2 private
+    states.  The initial set is a product of nonempty per-agent subsets
+    (homogeneous) or, one time in three, a random nonempty subset of the
+    product of the private states (homogeneous or not).  Every transition
+    table is total, and every protocol table, the environment's unless it is
+    passive, enables 1-2 action pairs at each observation.
+    """
+    n = rng.randint(1, 3)
+    agents = range(n + 1)
+
+    def some(names):
+        return tuple(rng.sample(names, rng.randint(1, len(names))))
+
+    external = tuple((EPSILON, f"x{i}")[: rng.randint(1, 2)] for i in agents)
+    internal = tuple(some((EPSILON, f"b{i}")) for i in agents)
+    private = tuple(some((f"p{i}", f"q{i}")) for i in agents)
+    joints = list(itertools.product(*external))
+
+    def table(i):
+        actions = list(itertools.product(external[i], internal[i]))
+        return {
+            (ext, p): rng.sample(actions, min(len(actions), rng.randint(1, 2)))
+            for ext in joints
+            for p in private[i]
+        }
+
+    if rng.random() < 1 / 3:
+        product = list(itertools.product(*private))
+        blank = (EPSILON,) * (n + 1)
+        initial = {"initial_states": [(blank, s) for s in some(product)]}
+    else:
+        initial = {"initial_private": tuple(some(pool) for pool in private)}
+    passive = EPSILON in internal[0] and rng.random() < 0.5
+    env = BroadcastEnvironment(
+        n,
+        external_actions=external,
+        internal_actions=internal,
+        private_states=private,
+        env_protocol=None if passive else table(0),
+        transitions=tuple(
+            {(ext, b, p): rng.choice(private[i])
+             for ext in joints for b in internal[i] for p in private[i]}
+            for i in agents
+        ),
+        **initial,
+    )
+    protocol = JointProtocol(tuple(AgentProtocol("table", table(i)) for i in agents[1:]))
+    return env, protocol

@@ -35,7 +35,6 @@ from s5wd.formula import expand_s, parse, wd_instance
 from s5wd.kripke import (
     AgentIndexError,
     BudgetError,
-    Frame,
     check_equivalence,
     check_wd,
     find_isomorphism,
@@ -44,7 +43,13 @@ from s5wd.kripke import (
     world_key,
 )
 from s5wd.systems import InterpretedSystem, f_map_interpreted, is_full, is_hypercube
-from helpers import random_formula, random_hypercube
+from helpers import (
+    glued_card_frame,
+    merged_card_frame,
+    pruned_card_frame,
+    random_formula,
+    random_hypercube,
+)
 
 BLANK3 = (EPSILON,) * 3
 
@@ -466,7 +471,17 @@ class TestGenerateFrame:
         env, proto = build_card_game(4, 2)
         keyed = []
         key = broadcast._key
-        monkeypatch.setattr(broadcast, "_key", lambda value: keyed.append(value) or key(value))
+
+        def counted(value):
+            # only joint actions, tuples of n + 1 (external, internal) pairs;
+            # play-any-card also keys the cards of a hand
+            if isinstance(value, tuple) and len(value) == env.n + 1 and all(
+                isinstance(pair, tuple) and len(pair) == 2 for pair in value
+            ):
+                keyed.append(value)
+            return key(value)
+
+        monkeypatch.setattr(broadcast, "_key", counted)
         sorted_joints = []
 
         def enabled(*args):
@@ -665,21 +680,7 @@ class TestVerifyDecomposition:
         assert depth1.action_sequence == ()
 
     def test_missing_trace_is_detected(self):
-        env, proto = build_card_game(4, 2)
-        fr = generate_frame(env, proto, 2)
-        report = verify_hypercube_decomposition(fr)
-        victim_component = next(c for c in report.components if len(c.members) == 9)
-        victim = victim_component.members[4]
-        kept = [tr for tr in fr.worlds if tr != victim]
-        keep = set(kept)
-        pruned = Frame(
-            2,
-            kept,
-            [
-                {(a, b) for a, b in rel if a in keep and b in keep}
-                for rel in fr.relations
-            ],
-        )
+        pruned, victim = pruned_card_frame()
         broken = verify_hypercube_decomposition(pruned)
         assert not broken.ok
         bad = [c for c in broken.components if not c.ok]
@@ -689,39 +690,14 @@ class TestVerifyDecomposition:
         assert tuple(perfect_recall_state(victim, i) for i in range(3)) == missing
 
     def test_merged_recall_classes_are_not_isomorphic(self):
-        env, proto = build_card_game(4, 2)
-        fr = generate_frame(env, proto, 2)
-        report = verify_hypercube_decomposition(fr)
-        victim = next(c for c in report.components if len(c.members) == 9)
-        first = victim.members[0]
-        other = next(
-            tr for tr in victim.members
-            if perfect_recall_state(tr, 1) != perfect_recall_state(first, 1)
-        )
-        merged = fr.succ(1, first) | fr.succ(1, other)
-        agent1 = set(fr.relations[0]) | {(a, b) for a in merged for b in merged}
-        broken = verify_hypercube_decomposition(
-            Frame(2, fr.worlds, [agent1, fr.relations[1]])
-        )
-        bad = [c for c in broken.components if not c.ok]
-        assert [c.members for c in bad] == [victim.members]
+        merged, members = merged_card_frame()
+        bad = [c for c in verify_hypercube_decomposition(merged).components if not c.ok]
+        assert [c.members for c in bad] == [members]
         assert bad[0].reason == "not-isomorphic"
         assert bad[0].axis_sizes == (1, 3, 3)
 
     def test_action_mismatch_is_detected(self):
-        env, proto = build_card_game(2, 1)
-        fr = generate_frame(env, proto, 2)
-        long = [tr for tr in fr.worlds if len(tr) == 2]
-        a, b = next(
-            (x, y) for x in long for y in long
-            if action_sequence(x) != action_sequence(y)
-        )
-        glued = Frame(
-            2,
-            [a, b],
-            [{(a, a), (b, b), (a, b), (b, a)}, {(a, a), (b, b)}],
-        )
-        report = verify_hypercube_decomposition(glued)
+        report = verify_hypercube_decomposition(glued_card_frame())
         assert not report.ok
         assert report.components[0].reason == "action-mismatch"
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import s5wd
-from s5wd import cli, kripke
+from s5wd import broadcast, cli, kripke
 from s5wd.broadcast import build_card_game, environment_to_json, protocol_to_json
 from s5wd.cli import main
 from s5wd.kripke import (
@@ -733,6 +733,40 @@ class TestBroadcast:
                 "--emit-frame", str(emitted)]
         assert run(capsys, argv) == (1, "", "error: cannot decode value: {'set': 'ab'}\n")
         assert not emitted.exists()
+
+    def test_play_any_card_with_mixed_card_types(self, capsys, tmp_path):
+        # a hand's cards are listed in _key order, so 1 and "a" need no common order
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({
+            "n": 1, "external_actions": [["eps"], ["eps", {"set": [1]}, {"set": ["a"]}]],
+            "internal_actions": [["eps"], ["eps"]], "private_states": [None, None],
+            "initial_private": [["0"], [{"set": [1, "a"]}]], "transitions": None,
+        }))
+        proto = tmp_path / "proto.json"
+        proto.write_text(json.dumps({"agents": [{"kind": "play-any-card"}]}))
+        argv = ["broadcast", "simulate", "--env", str(env), "--protocol", str(proto),
+                "--depth", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert "worlds: 3\ncomponents: 3\n" in out
+
+    @pytest.mark.parametrize("verify", [[], ["--verify", "hypercube"], ["--verify", "full"]],
+                             ids=["no-verify", "hypercube", "full"])
+    def test_components_found_once(self, capsys, monkeypatch, verify):
+        # with --verify the component count is read off the report
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return kripke.component_members(x)
+
+        monkeypatch.setattr(cli, "component_members", counted)
+        monkeypatch.setattr(broadcast, "component_members", counted)
+        argv = ["broadcast", "simulate", "--card-game", "deck=3,hand=1", "--depth", "2"]
+        code, out, _ = run(capsys, argv + verify)
+        assert code == 0
+        assert "components: 10\n" in out
+        assert len(calls) == 1
 
     def test_emit_frame_feeds_check(self, capsys, tmp_path):
         emitted = tmp_path / "traces.json"

@@ -13,8 +13,13 @@ from s5wd import broadcast, kripke
 from s5wd.broadcast import (
     EPSILON,
     BroadcastEnvironment,
+    build_card_game,
+    environment_from_json,
+    environment_to_json,
     generate_frame,
     perfect_recall_state,
+    protocol_from_json,
+    protocol_to_json,
     trivial_protocol,
     verify_hypercube_decomposition,
 )
@@ -71,6 +76,7 @@ from s5wd.systems import (
 )
 from s5wd.unpack import cluster_decomposition
 from helpers import (
+    build_card_game_by_full_states,
     check_d_by_product,
     check_suitable_by_pairs,
     check_wd_by_neighborhood,
@@ -87,13 +93,17 @@ from helpers import (
     frame_by_label_pairs,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
+    glued_card_frame,
     is_i_local_by_recursion,
     key_by_json_dumps,
+    merged_card_frame,
     modal_depth_by_recursion,
     not_full_hole_by_system,
     pairs_from_blocks,
     parse_by_descent,
+    pruned_card_frame,
     pretty_by_recursion,
+    random_broadcast_environment,
     random_equivalence_frame,
     random_formula,
     random_frame,
@@ -109,6 +119,7 @@ from helpers import (
     two_block_model,
     union_by_pairs,
     valuation_by_loop,
+    verify_hypercube_decomposition_by_exits,
     with_agent_relation,
     world_equivalence_by_extensions,
     world_key_by_json_dumps,
@@ -385,6 +396,69 @@ def test_not_full_witness_matches_system_search():
                 assert c.witness == (hole,)
             reasons.append(c.reason)
     assert "not-full" in reasons and None in reasons
+
+
+def test_card_game_matches_full_state_closure():
+    # every deck 1..6 and hand 0..deck, but the rich modeling with deck 5 or 6
+    # and a hand of 3 or more is left out: it takes 2-20 s a point to build
+    grid = [
+        (deck, hand, modeling)
+        for deck in range(1, 7)
+        for hand in range(deck + 1)
+        for modeling in ("simple", "rich")
+        if modeling == "simple" or deck <= 4 or hand <= 2
+    ]
+    for deck, hand, modeling in grid:
+        env, proto = build_card_game(deck, hand, modeling)
+        oracle, oracle_proto = build_card_game_by_full_states(deck, hand, modeling)
+        for field in dataclasses.fields(env):
+            assert getattr(env, field.name) == getattr(oracle, field.name)
+        assert (env, proto) == (oracle, oracle_proto)
+        assert environment_to_json(env) == environment_to_json(oracle)
+
+
+def broken_and_whole_card_frames():
+    """Card-game trace frames of both modelings, and the pruned, merged and
+    glued frames the broadcast tests build from them."""
+    for deck, hand, depth in ((2, 1, 2), (3, 1, 3), (3, 2, 3), (4, 2, 2), (4, 2, 3)):
+        for modeling in ("simple", "rich"):
+            env, proto = build_card_game(deck, hand, modeling)
+            yield generate_frame(env, proto, depth)
+    yield pruned_card_frame()[0]
+    yield merged_card_frame()[0]
+    yield glued_card_frame()
+
+
+def test_decomposition_matches_one_exit_per_check():
+    frames = [*broken_and_whole_card_frames(),
+              *(random_depth_one_frame(random.Random(seed)) for seed in SEEDS)]
+    reasons = set()
+    for fr in frames:
+        for mode in ("hypercube", "full"):
+            report = verify_hypercube_decomposition(fr, mode=mode)
+            assert report == verify_hypercube_decomposition_by_exits(fr, mode=mode)
+            reasons.update(c.reason for c in report.components)
+    assert reasons == {None, "action-mismatch", "missing-tuple", "not-full", "not-isomorphic"}
+
+
+def test_random_environments_decompose():
+    homogeneous = 0
+    for seed in range(100):
+        env, proto = random_broadcast_environment(random.Random(seed))
+        assert environment_from_json(environment_to_json(env)) == env
+        assert protocol_from_json(protocol_to_json(proto)) == proto
+        homogeneous += env.homogeneous
+        for depth in (1, 2, 3):
+            fr = generate_frame(env, proto, depth)
+            assert check_equivalence(fr)
+            for mode in ("hypercube", "full"):
+                report = verify_hypercube_decomposition(fr, mode=mode)
+                assert report == verify_hypercube_decomposition_by_exits(fr, mode=mode)
+                # homogeneous: every component is the F image of a hypercube
+                assert report.ok or not env.homogeneous
+            if env.homogeneous:
+                assert all(check_d(piece) for piece, _ in connected_components(fr))
+    assert 0 < homogeneous < 100
 
 
 def corrupted_filtrations(rng: random.Random):

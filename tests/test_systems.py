@@ -104,6 +104,14 @@ class TestInterpretedSystem:
         with pytest.raises(ValueError):
             InterpretedSystem(s, {}).atoms_at(("1", "zz", "c"))
 
+    @pytest.mark.parametrize("state", ["ea", ["e", "a"]], ids=["string", "list"])
+    def test_state_of_another_type_is_unknown(self, state):
+        # a string is not read as its characters, nor a list as a tuple
+        isys = InterpretedSystem(system_from_states(1, [("e", "a")]), {("e", "a"): ["p"]})
+        assert isys.atoms_at(("e", "a")) == {"p"}
+        with pytest.raises(ValueError, match="unknown state"):
+            isys.atoms_at(state)
+
 
 class TestFMap:
     def test_small_hypercube_frame(self):

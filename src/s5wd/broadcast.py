@@ -33,7 +33,7 @@ from .kripke import (
     frame_from_labels,
     world_key,
 )
-from .systems import GlobalStateSystem, is_hypercube, system_from_states
+from .systems import GlobalStateSystem, _is_product, is_hypercube, system_from_states
 
 EPSILON = "eps"
 
@@ -125,23 +125,20 @@ class BroadcastEnvironment:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("need at least one agent besides the environment")
         width = self.n + 1
-        ext = self._norm_alphabets(self.external_actions, "external_actions")
-        for i, acts in enumerate(ext):
-            if EPSILON not in acts:
+        object.__setattr__(self, "_alphabet_sets", {})
+        self._alphabets("external_actions", "external action")
+        for i in range(width):
+            if not self._knows("external action", i, EPSILON):
                 raise ValueError(f"external actions of agent {i} lack {EPSILON!r}")
-        internal = self._norm_alphabets(self.internal_actions, "internal_actions")
-        private = self._norm_alphabets(self.private_states, "private_states", True)
-        object.__setattr__(self, "external_actions", ext)
-        object.__setattr__(self, "internal_actions", internal)
-        object.__setattr__(self, "private_states", private)
+        self._alphabets("internal_actions", "internal action")
+        self._alphabets("private_states", "private state")
 
         if (self.initial_private is None) == (self.initial_states is None):
             raise ValueError("give exactly one of initial_private or initial_states")
         blank = (EPSILON,) * width
         if self.initial_private is not None:
-            pools = self._norm_alphabets(self.initial_private, "initial_private")
+            pools = self._alphabets("initial_private")
             states = tuple((blank, combo) for combo in itertools.product(*pools))
-            object.__setattr__(self, "initial_private", pools)
         else:
             states = tuple(dict.fromkeys(
                 (tuple(s[0]), tuple(s[1])) for s in self.initial_states
@@ -156,7 +153,7 @@ class BroadcastEnvironment:
         object.__setattr__(self, "initial_states", states)
 
         if self.env_protocol is None:
-            if EPSILON not in internal[0]:
+            if not self._knows("internal action", 0, EPSILON):
                 raise ValueError(
                     "the passive environment protocol needs the null internal action"
                 )
@@ -165,7 +162,8 @@ class BroadcastEnvironment:
             protocol = AgentProtocol("table", self.env_protocol)
             for _, actions in protocol.table:
                 for a, b in actions:
-                    if a not in ext[0] or b not in internal[0]:
+                    if not (self._knows("external action", 0, a)
+                            and self._knows("internal action", 0, b)):
                         raise ValueError(f"unknown environment action {(a, b)!r}")
             object.__setattr__(self, "env_protocol", protocol.table)
         object.__setattr__(self, "_env_protocol", protocol)
@@ -188,17 +186,37 @@ class BroadcastEnvironment:
         object.__setattr__(self, "_val_map", dict(valuation))
         object.__setattr__(self, "_initial_set", frozenset(self.initial_states))
 
-    def _norm_alphabets(self, entries, label, nullable=False) -> tuple:
-        # a None entry, where nullable, stays None: that agent goes unchecked
-        if len(entries) != self.n + 1:
-            raise ValueError(f"{label} must have {self.n + 1} entries")
+    def _knows(self, noun, i, value) -> bool:
+        """True iff value is in agent i's alphabet of noun ("external action",
+        "internal action" or "private state"); a None alphabet takes every
+        value, and an unhashable value is in none."""
+        alphabet = self._alphabet_sets[noun][i]
+        try:
+            return alphabet is None or value in alphabet
+        except TypeError:
+            return False
+
+    def _require(self, noun, entries) -> None:
+        for i, value in entries:
+            if not self._knows(noun, i, value):
+                raise ValueError(f"unknown {noun} {value!r} of agent {i}")
+
+    def _alphabets(self, name, noun=None) -> tuple:
+        """Store the field name as one sorted tuple per agent and, given the
+        noun for its values, index it for _knows as one set per agent.  A None
+        private_states entry stays None: that agent goes unchecked."""
+        if len(entries := getattr(self, name)) != self.n + 1:
+            raise ValueError(f"{name} must have {self.n + 1} entries")
         out = tuple(
-            None if nullable and entry is None else _sorted_tuple(set(entry))
+            None if name == "private_states" and entry is None else _sorted_tuple(set(entry))
             for entry in entries
         )
         for i, entry in enumerate(out):
             if entry == ():
-                raise ValueError(f"{label} of agent {i} is empty")
+                raise ValueError(f"{name} of agent {i} is empty")
+        object.__setattr__(self, name, out)
+        if noun is not None:
+            self._alphabet_sets[noun] = tuple(None if a is None else frozenset(a) for a in out)
         return out
 
     def _transition(self, i, key, target) -> tuple:
@@ -207,15 +225,9 @@ class BroadcastEnvironment:
                                 "[joint action, internal action, private state]")
         if len(avec) != self.n + 1:
             raise ValueError("transition keys need a full joint action")
-        for j, a in enumerate(avec):
-            if a not in self.external_actions[j]:
-                raise ValueError(f"unknown external action {a!r} of agent {j}")
-        if b not in self.internal_actions[i]:
-            raise ValueError(f"unknown internal action {b!r} of agent {i}")
-        private = self.private_states[i]
-        for value in (p, target):
-            if private is not None and value not in private:
-                raise ValueError(f"unknown private state {value!r} of agent {i}")
+        self._require("external action", enumerate(avec))
+        self._require("internal action", [(i, b)])
+        self._require("private state", [(i, p), (i, target)])
         return (avec, b, p), target
 
     def _labels(self, state, atoms) -> tuple:
@@ -229,24 +241,13 @@ class BroadcastEnvironment:
         width = self.n + 1
         if len(s) != 2 or len(s[0]) != width or len(s[1]) != width:
             raise ValueError(f"malformed state: {s!r}")
-        for i, a in enumerate(s[0]):
-            if a not in self.external_actions[i]:
-                raise ValueError(f"unknown external action {a!r} of agent {i}")
-        for i, p in enumerate(s[1]):
-            if self.private_states[i] is not None and p not in self.private_states[i]:
-                raise ValueError(f"unknown private state {p!r} of agent {i}")
+        self._require("external action", enumerate(s[0]))
+        self._require("private state", enumerate(s[1]))
 
     @property
     def homogeneous(self) -> bool:
         """True iff the initial states are exactly a product of per-agent sets."""
-        pools = [set() for _ in range(self.n + 1)]
-        for _, priv in self.initial_states:
-            for i, p in enumerate(priv):
-                pools[i].add(p)
-        count = 1
-        for pool in pools:
-            count *= len(pool)
-        return count == len(self.initial_states)
+        return _is_product(priv for _, priv in self.initial_states)
 
     def atoms_at(self, state) -> tuple:
         return self._val_map.get(state, ())
@@ -353,7 +354,7 @@ def enabled_joint_actions(e: BroadcastEnvironment, p: JointProtocol, tr) -> froz
     for i, protocol in enumerate((e._env_protocol, *p.agents)):
         actions = protocol.enabled(observation(e, i, fin))
         for a, b in actions:
-            if a not in e.external_actions[i] or b not in e.internal_actions[i]:
+            if not (e._knows("external action", i, a) and e._knows("internal action", i, b)):
                 raise ValueError(f"protocol action {(a, b)!r} unknown to agent {i}")
         per_agent.append(actions)
     return frozenset(itertools.product(*per_agent))

@@ -8,7 +8,7 @@ components coincide; the environment component is invisible to every agent.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -126,24 +126,22 @@ def f_map_interpreted(isys: InterpretedSystem) -> Model:
     return Model(f_map(isys.system), isys.valuation)
 
 
+def _is_product(rows) -> bool:
+    """True iff the distinct rows are every combination of the values their
+    columns take: as many rows as the product of the per-column counts."""
+    rows = set(rows)
+    return len(rows) == math.prod(len(set(column)) for column in zip(*rows))
+
+
 def is_hypercube(s: GlobalStateSystem) -> bool:
     """True iff the environment alphabet is a singleton and states are the
     full product of the local alphabets."""
-    if len(s.env_alphabet) != 1:
-        return False
-    expected = 1
-    for alphabet in s.local_alphabets:
-        expected *= len(alphabet)
-    return len(s.states) == expected
+    return len(s.env_alphabet) == 1 and _is_product(state[1:] for state in s.states)
 
 
 def is_full(s: GlobalStateSystem) -> bool:
     """True iff every combination of local values occurs with some environment."""
-    seen = {state[1:] for state in s.states}
-    for combo in itertools.product(*s.local_alphabets):
-        if combo not in seen:
-            return False
-    return True
+    return _is_product(state[1:] for state in s.states)
 
 
 def class_label(members: Iterable) -> str:

@@ -68,7 +68,6 @@ from s5wd.systems import (
     GlobalStateSystem,
     class_label,
     f_map,
-    is_full,
     system_from_states,
 )
 
@@ -260,6 +259,37 @@ def random_full_system(
         for e in chosen:
             states.append((e,) + combo)
     return system_from_states(n, states)
+
+
+def is_hypercube_by_count(s: GlobalStateSystem) -> bool:
+    """is_hypercube by multiplying the local alphabet sizes."""
+    if len(s.env_alphabet) != 1:
+        return False
+    expected = 1
+    for alphabet in s.local_alphabets:
+        expected *= len(alphabet)
+    return len(s.states) == expected
+
+
+def is_full_by_product(s: GlobalStateSystem) -> bool:
+    """is_full by walking the product of the local alphabets."""
+    seen = {state[1:] for state in s.states}
+    for combo in itertools.product(*s.local_alphabets):
+        if combo not in seen:
+            return False
+    return True
+
+
+def homogeneous_by_pools(e: BroadcastEnvironment) -> bool:
+    """BroadcastEnvironment.homogeneous by counting each agent's initial pool."""
+    pools = [set() for _ in range(e.n + 1)]
+    for _, priv in e.initial_states:
+        for i, p in enumerate(priv):
+            pools[i].add(p)
+    count = 1
+    for pool in pools:
+        count *= len(pool)
+    return count == len(e.initial_states)
 
 
 def assert_isomorphism(wm: WorldMap) -> None:
@@ -783,7 +813,7 @@ def not_full_hole_by_system(members: tuple) -> tuple:
     width = len(members[0][0][1])
     coords = [tuple(perfect_recall_state(tr, i) for i in range(width)) for tr in members]
     system = system_from_states(width - 1, coords)
-    if is_full(system):
+    if is_full_by_product(system):
         return ()
     return next(
         combo

@@ -224,6 +224,11 @@ class TestEnvironmentConstruction:
             BroadcastEnvironment(
                 1, transitions=({}, {((EPSILON, EPSILON), EPSILON, "p"): "q"}), **kwargs
             )
+        # an unhashable target is in no alphabet
+        with pytest.raises(ValueError, match="unknown private state"):
+            BroadcastEnvironment(
+                1, transitions=({}, {((EPSILON, EPSILON), EPSILON, "p"): ["p"]}), **kwargs
+            )
 
     def test_bad_atom_name(self):
         with pytest.raises(ValueError, match="bad atom name"):
@@ -234,6 +239,16 @@ class TestEnvironmentConstruction:
                 private_states=(("e",), ("p",)),
                 initial_private=(("e",), ("p",)),
                 valuation={((EPSILON, EPSILON), ("e", "p")): ("Bad",)},
+            )
+        # an unhashable private state in a valuation key, given as a pair
+        with pytest.raises(ValueError, match="unknown private state"):
+            BroadcastEnvironment(
+                1,
+                external_actions=((EPSILON,), (EPSILON,)),
+                internal_actions=((EPSILON,), (EPSILON,)),
+                private_states=(("e",), ("p",)),
+                initial_private=(("e",), ("p",)),
+                valuation=[(((EPSILON, EPSILON), ("e", ["p"])), ("q",))],
             )
 
     def test_valuation_normalized_and_queryable(self):

@@ -47,6 +47,7 @@ from s5wd.formula import (
     pretty,
     subformula_closure,
     subformulas,
+    wd_instance,
 )
 from s5wd.kripke import (
     Frame,
@@ -65,6 +66,7 @@ from s5wd.kripke import (
     frame_from_labels,
     frame_from_partitions,
     frame_of,
+    valid_on_model,
     world_key,
 )
 from s5wd.systems import (
@@ -72,6 +74,8 @@ from s5wd.systems import (
     f_map,
     frame_to_full_system,
     frame_to_hypercube,
+    is_full,
+    is_hypercube,
     system_from_states,
 )
 from s5wd.unpack import cluster_decomposition
@@ -94,6 +98,9 @@ from helpers import (
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
     glued_card_frame,
+    homogeneous_by_pools,
+    is_full_by_product,
+    is_hypercube_by_count,
     is_i_local_by_recursion,
     key_by_json_dumps,
     merged_card_frame,
@@ -399,14 +406,14 @@ def test_not_full_witness_matches_system_search():
 
 
 def test_card_game_matches_full_state_closure():
-    # every deck 1..6 and hand 0..deck, but the rich modeling with deck 5 or 6
-    # and a hand of 3 or more is left out: it takes 2-20 s a point to build
+    # every deck 1..6 and hand 0..deck, but the rich modeling with deck 6 and
+    # a hand of 4 or more is left out: with its oracle each such point takes 6-7 s
     grid = [
         (deck, hand, modeling)
         for deck in range(1, 7)
         for hand in range(deck + 1)
         for modeling in ("simple", "rich")
-        if modeling == "simple" or deck <= 4 or hand <= 2
+        if modeling == "simple" or deck <= 5 or hand <= 3
     ]
     for deck, hand, modeling in grid:
         env, proto = build_card_game(deck, hand, modeling)
@@ -445,6 +452,7 @@ def test_random_environments_decompose():
     homogeneous = 0
     for seed in range(100):
         env, proto = random_broadcast_environment(random.Random(seed))
+        rng = random.Random(1000 + seed)  # for the WD instances and their models
         assert environment_from_json(environment_to_json(env)) == env
         assert protocol_from_json(protocol_to_json(proto)) == proto
         homogeneous += env.homogeneous
@@ -458,7 +466,33 @@ def test_random_environments_decompose():
                 assert report.ok or not env.homogeneous
             if env.homogeneous:
                 assert all(check_d(piece) for piece, _ in connected_components(fr))
+                # so fr is WD, and every WD instance holds at every world of
+                # every model on it
+                parts = [random_i_local(rng, env.n, i, ["p", "q"], 2) for i in range(1, env.n + 1)]
+                m = random_model(rng, fr, ["p", "q"])
+                assert valid_on_model(m, expand_s(wd_instance(parts), env.n))
     assert 0 < homogeneous < 100
+
+
+def test_product_tests_match_counts_and_products():
+    verdicts = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        for system in (random_hypercube(rng, n), random_full_system(rng, n)):
+            kept = [s for s in system.states if rng.random() < 0.8] or [system.states[0]]
+            for s in (system, system_from_states(n, kept)):
+                verdict = (is_hypercube(s), is_full(s))
+                assert verdict == (is_hypercube_by_count(s), is_full_by_product(s))
+                verdicts.add(verdict)
+    # a hypercube is full, so (True, False) cannot occur
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    homogeneous = set()
+    for seed in range(100):
+        env, _ = random_broadcast_environment(random.Random(seed))
+        assert env.homogeneous == homogeneous_by_pools(env)
+        homogeneous.add(env.homogeneous)
+    assert homogeneous == {True, False}
 
 
 def corrupted_filtrations(rng: random.Random):

@@ -29,6 +29,7 @@ from .formula import (
 from .kripke import (
     Model,
     _json_object,
+    _world_reader,
     check_d,
     check_equivalence,
     check_i,
@@ -133,10 +134,9 @@ def _cmd_parse(args) -> int:
 
 def _cmd_check(args) -> int:
     m = model_from_json(_load_json(args.model))
-    if args.world not in set(m.frame.worlds):
-        raise ValueError(f"unknown world {args.world!r}")
+    world = _world_reader(m.frame.worlds, "unknown world %r")(args.world)
     f = expand_s(parse(args.formula, m.frame.n), m.frame.n)
-    value = satisfies(m, args.world, f)
+    value = satisfies(m, world, f)
     _emit(
         args,
         {"world": args.world, "formula": args.formula, "value": value},
@@ -265,8 +265,7 @@ def _cmd_unpack(args) -> int:
 
 def _cmd_filtrate(args) -> int:
     m = model_from_json(_load_json(args.model))
-    f = parse(args.formula, m.frame.n)
-    fil = filtrate(m, f)
+    fil = filtrate(m, expand_s(parse(args.formula, m.frame.n), m.frame.n))
     data = {
         "closure": [pretty(g) for g in fil.closure],
         "quotient": model_to_json(fil.quotient),

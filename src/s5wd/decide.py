@@ -25,6 +25,7 @@ from .formula import (
     parse,
 )
 from .kripke import (
+    MAX_AGENTS,
     AgentIndexError,
     BudgetError,
     Frame,
@@ -139,6 +140,8 @@ def enumerate_frames(
         raise ValueError(f"unknown frame class {klass!r}; expected one of {CLASS_NAMES}")
     if n < 1 or max_worlds < 1:
         raise ValueError("need n >= 1 and max_worlds >= 1")
+    if n > MAX_AGENTS:
+        raise ValueError(f"agent count n must be at most {MAX_AGENTS}")
     bells = _bell_numbers(max_worlds)
     total = sum(bells[k] ** n for k in range(1, max_worlds + 1))
     if total > budget:

@@ -35,6 +35,9 @@ from .formula import (
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
+# the most agents a frame document or enumeration may name: each costs a table
+MAX_AGENTS = 1000
+
 
 class BudgetError(RuntimeError):
     """A configurable resource bound was exceeded."""
@@ -955,6 +958,8 @@ def frame_from_json(data: Mapping) -> Frame:
     A missing required field or a field of the wrong JSON type raises a
     ValueError naming it."""
     n = _json_int(_json_field(data, "n", "frame JSON"), "'n'")
+    if n > MAX_AGENTS:
+        raise ValueError(f"agent count n must be at most {MAX_AGENTS}")
     worlds = _symbols(_json_field(data, "worlds", "frame JSON"), "'worlds'")
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")

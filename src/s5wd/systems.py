@@ -193,12 +193,7 @@ def frame_to_hypercube(fr: Frame) -> tuple:
         raise ValueError("frame is not directed")
     if not check_i(fr):
         raise ValueError("frame does not have the identity intersection property")
-    system, wm = _labelled_system(fr, lambda w: "1")
-    if not is_hypercube(system):
-        raise RuntimeError(
-            "internal error: class intersection is not a singleton on an EDI frame"
-        )
-    return system, wm
+    return _labelled_system(fr, lambda w: "1")
 
 
 def system_to_json(s: GlobalStateSystem) -> dict:

@@ -80,12 +80,9 @@ def unpack_to_edi(fr: Frame, x_size: Optional[int] = None) -> tuple:
     coordinates agree and their clusters lie in the same R_i class.  x_size
     defaults to the largest cluster size and must not be smaller.
     """
-    if not check_equivalence(fr):
-        raise ValueError("frame is not an equivalence frame")
+    clusters = cluster_decomposition(fr).clusters
     if not check_wd(fr):
         raise ValueError("frame is not weakly directed")
-    decomp = cluster_decomposition(fr)
-    clusters = decomp.clusters
     max_cluster = max(len(c) for c in clusters)
     if x_size is None:
         x_size = max_cluster

@@ -138,6 +138,20 @@ class TestCheck:
         assert code == 1
         assert "unknown world" in err
 
+    @pytest.mark.parametrize("world, out, err", [
+        ("1", "true\n", ""),
+        ("2", "false\n", ""),
+        ("x", "", "error: unknown world 'x'\n"),
+    ])
+    def test_world_named_by_its_text(self, capsys, tmp_path, world, out, err):
+        # number worlds are read by their JSON text, as valuation keys are
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(
+            {"n": 1, "worlds": [1, 2], "partitions": {"1": [[1], [2]]}, "valuation": {"1": ["p"]}}
+        ))
+        argv = ["check", "--model", str(path), "--world", world, "--formula", "p"]
+        assert run(capsys, argv) == (1 if err else 0, out, err)
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -508,13 +522,17 @@ class TestConversions:
         quotient = model_from_json(data["quotient"])
         assert len(quotient.frame.worlds) == 2
 
-    def test_filtrate_rejects_s(self, capsys, ed_pair_files):
-        _, model_path = ed_pair_files
-        code, _, err = run(
-            capsys, ["filtrate", "--model", model_path, "--formula", "S p"]
-        )
-        assert code == 1
-        assert "expanded" in err
+    def test_filtrate_expands_s_but_rejects_d(self, capsys, tmp_path):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({
+            "n": 2, "worlds": ["w0", "w1"], "valuation": {"w0": ["p"]},
+            "partitions": {"1": [["w0"], ["w1"]], "2": [["w0", "w1"]]},
+        }))
+        code, out, _ = run(capsys, ["filtrate", "--model", str(path), "--formula", "S p"])
+        # <1>p | <2>p: four subformulas and their negations
+        assert (code, out.splitlines()[0]) == (0, "closure size: 8")
+        code, out, err = run(capsys, ["filtrate", "--model", str(path), "--formula", "D p"])
+        assert (code, out, err) == (1, "", "error: the D operator is not supported by filtration\n")
 
 
 class TestDecide:
@@ -833,6 +851,18 @@ class TestBroadcast:
         )
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame-props", "--frame", "{doc}"],
+    ["decide", "--formula", "p", "--n", "100000", "--mode", "sat", "--max-worlds", "1"],
+])
+def test_agent_count_bound(capsys, tmp_path, argv):
+    # rejected before any per-agent work, however small the input
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"n": 100_000, "worlds": ["a"], "relations": {}}))
+    argv = [str(path) if arg == "{doc}" else arg for arg in argv]
+    assert run(capsys, argv) == (1, "", "error: agent count n must be at most 1000\n")
 
 
 class TestHarness:

@@ -54,6 +54,11 @@ class TestEnumerateFrames:
         counts = {k: len(list(enumerate_frames(2, 3, k))) for k in ("e", "ed", "ewd", "edi")}
         assert counts == {"e": 15, "ed": 9, "ewd": 14, "edi": 5}
 
+    def test_agent_count_bound(self):
+        assert len(list(enumerate_frames(kripke.MAX_AGENTS, 1))) == 1
+        with pytest.raises(ValueError, match="at most 1000"):
+            next(enumerate_frames(kripke.MAX_AGENTS + 1, 1))
+
     def test_counts_single_agent(self):
         assert len(list(enumerate_frames(1, 2))) == 3
 

@@ -560,6 +560,8 @@ def test_filtrate_matches_per_member_extensions():
             for i in m.frame.agents:
                 report = check_suitable(got, i)
                 assert report == check_suitable_by_pairs(want, i)
+                # filtrate does not check its own quotient: it is suitable by construction
+                assert report.ok or got is not fil
                 clauses.append(report.clause)
     assert clauses.count("containment") > 200 and clauses.count("transfer") > 100
     assert clauses.count(None) > 1000

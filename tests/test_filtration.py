@@ -298,8 +298,8 @@ class TestOneKernelRun:
             world_equivalence(m, fil.closure)
             check_suitable(fil, 1)
             assert len(runs) == 2
-        # one run for the classes and one per agent's suitability check
-        assert counts == [(2, 3), (242, 3)]
+        # one run for the classes; the quotient is not re-checked
+        assert counts == [(2, 1), (242, 1)]
 
     @pytest.mark.parametrize("wrap", [lambda g: Box(1, g), lambda g: Diamond(2, g), Not],
                              ids=["box", "diamond", "not"])

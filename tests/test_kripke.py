@@ -624,6 +624,12 @@ class TestJson:
         }
         assert frame_from_json(data) == missing_corner_model().frame
 
+    def test_agent_count_bound(self):
+        data = {"worlds": ["a"], "relations": {}}
+        assert frame_from_json({"n": kripke.MAX_AGENTS, **data}).n == 1000
+        with pytest.raises(ValueError, match="at most 1000"):
+            frame_from_json({"n": kripke.MAX_AGENTS + 1, **data})
+
     def test_partitions_validation(self):
         base = {"n": 1, "worlds": ["w0", "w1"]}
         with pytest.raises(ValueError):

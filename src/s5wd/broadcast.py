@@ -24,6 +24,7 @@ from .kripke import (
     Frame,
     Model,
     _atom_names,
+    _group_by,
     _json_encoder,
     _json_field,
     _json_int,
@@ -392,14 +393,6 @@ def replay_consistent(e: BroadcastEnvironment, p: JointProtocol, tr) -> bool:
     return True
 
 
-class _KeyMemo(dict):
-    """_key of each value looked up, computed on first lookup."""
-
-    def __missing__(self, value):
-        key = self[value] = _key(value)
-        return key
-
-
 def generate_frame(
     e: BroadcastEnvironment, p: JointProtocol, depth: int, *, max_worlds: int = 20_000
 ) -> Frame:
@@ -413,12 +406,12 @@ def generate_frame(
     worlds = list(level)
     if len(worlds) > max_worlds:
         raise BudgetError(f"more than {max_worlds} traces at depth 1")
-    keys = _KeyMemo()  # for this call only: many traces share joint actions
+    keys = functools.cache(_key)  # for this call only: many traces share joint actions
     for _ in range(depth - 1):
         nxt = []
         seen = set()
         for tr in level:
-            for joint in sorted(enabled_joint_actions(e, p, tr), key=keys.__getitem__):
+            for joint in sorted(enabled_joint_actions(e, p, tr), key=keys):
                 grown = tr + (_apply(e, tr[-1], joint),)
                 if grown not in seen:
                     seen.add(grown)
@@ -474,24 +467,6 @@ class DecompositionReport:
         return self.ok
 
 
-def _recall_map_is_isomorphism(fr: Frame, members: tuple, coords: dict) -> bool:
-    """True iff tr -> coords[tr] is an isomorphism from the component onto
-    the F image of its coordinate tuples: the tuples are distinct, and agent
-    i relates two members exactly when their i-th coordinates agree."""
-    width = len(coords[members[0]])
-    if fr.n != width - 1:
-        raise ValueError(f"agent counts differ: {fr.n} vs {width - 1}")
-    if len(set(coords.values())) != len(members):
-        return False
-    for i in fr.agents:
-        sharing: dict = {}
-        for tr in members:
-            sharing.setdefault(coords[tr][i], set()).add(tr)
-        if any(fr.succ(i, tr) != sharing[coords[tr][i]] for tr in members):
-            return False
-    return True
-
-
 def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> DecompositionReport:
     """Check that every connected component of a generated trace frame is the
     F image of a product of per-agent recall-state axes.
@@ -508,9 +483,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
     reports = []
     for members in component_members(fr):
         shared = action_sequence(members[0])
-        mismatch = next(
-            (tr for tr in members if action_sequence(tr) != shared), None
-        )
+        mismatch = next((tr for tr in members if action_sequence(tr) != shared), None)
         if mismatch is not None:
             reports.append(
                 ComponentReport(members, None, (), False, "action-mismatch",
@@ -518,10 +491,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
             )
             continue
         width = len(members[0][0][1])
-        coords = {
-            tr: tuple(perfect_recall_state(tr, i) for i in range(width))
-            for tr in members
-        }
+        coords = {tr: tuple(perfect_recall_state(tr, i) for i in range(width)) for tr in members}
         axes = [list(dict.fromkeys(coords[tr][i] for tr in members)) for i in range(width)]
         axis_sizes = tuple(len(axis) for axis in axes)
         product_size = math.prod(axis_sizes)
@@ -536,7 +506,16 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
             reason = "not-full"
             ordered = (sorted(axis, key=world_key) for axis in axes[1:])
             witness = (next(c for c in itertools.product(*ordered) if c not in seen),)
-        elif not _recall_map_is_isomorphism(fr, members, coords):
+        elif fr.n != width - 1:
+            raise ValueError(f"agent counts differ: {fr.n} vs {width - 1}")
+        # the recall map is one-to-one, and agent i relates exactly the members
+        # that share coordinate i: an isomorphism onto the F image of its tuples
+        elif len(realized) < len(members) or any(
+            fr.succ(i, tr) != block
+            for i in fr.agents
+            for block in map(frozenset, _group_by(members, lambda t: coords[t][i]))
+            for tr in block
+        ):
             reason = "not-isomorphic"
         reports.append(
             ComponentReport(members, shared, axis_sizes, reason is None, reason, witness)
@@ -549,7 +528,9 @@ def initial_system(e: BroadcastEnvironment) -> GlobalStateSystem:
     return system_from_states(e.n, [priv for _, priv in e.initial_states])
 
 
-def build_card_game(deck_size: int, hand_size: int, modeling: str = "simple"):
+def build_card_game(
+    deck_size: int, hand_size: int, modeling: str = "simple", *, max_worlds: float = math.inf
+):
     """Two players each hold a hand drawn from their own deck and repeatedly
     play a card face up; played cards are external, hands are private.
 
@@ -557,12 +538,15 @@ def build_card_game(deck_size: int, hand_size: int, modeling: str = "simple"):
     environment is homogeneous.  The rich modeling makes the environment
     track both remaining decks and the face-up cards, which correlates its
     state with the hands; the initial states are then full but not a
-    hypercube.  Returns (environment, play-any-card protocol).
+    hypercube.  Returns (environment, play-any-card protocol).  More than
+    max_worlds initial states, the depth-1 traces, raise BudgetError unbuilt.
     """
     if deck_size < 1 or not 0 <= hand_size <= deck_size:
         raise ValueError("need deck_size >= 1 and 0 <= hand_size <= deck_size")
     if modeling not in ("simple", "rich"):
         raise ValueError(f"unknown modeling {modeling!r}")
+    if math.comb(deck_size, hand_size) ** 2 > max_worlds:
+        raise BudgetError(f"more than {max_worlds} traces at depth 1")
     n = 2
     simple = modeling == "simple"
     deck = tuple(f"c{k}" for k in range(deck_size))

@@ -310,7 +310,7 @@ def _cmd_decide(args) -> int:
     return 0 if verdict.decided else 2
 
 
-def _parse_card_game(text: str):
+def _parse_card_game(text: str, max_worlds: int):
     settings = {"deck": None, "hand": None, "modeling": "simple"}
     for part in text.split(","):
         key, _, value = part.partition("=")
@@ -321,7 +321,7 @@ def _parse_card_game(text: str):
     if settings["deck"] is None or settings["hand"] is None:
         raise ValueError("card game settings need deck=<int>,hand=<int>")
     return bc.build_card_game(
-        int(settings["deck"]), int(settings["hand"]), settings["modeling"]
+        int(settings["deck"]), int(settings["hand"]), settings["modeling"], max_worlds=max_worlds
     )
 
 
@@ -329,7 +329,7 @@ def _cmd_broadcast_simulate(args) -> int:
     if (args.env is None) == (args.card_game is None):
         raise ValueError("give exactly one of --env or --card-game")
     if args.card_game is not None:
-        env, proto = _parse_card_game(args.card_game)
+        env, proto = _parse_card_game(args.card_game, args.max_worlds)
     else:
         env = bc.environment_from_json(_load_json(args.env))
         proto = bc.trivial_protocol(env.n)

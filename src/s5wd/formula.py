@@ -8,6 +8,8 @@ associative), `|`, `&`, then the unary prefixes `~`, `[i]`, `<i>`, `S`, `D`.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -100,49 +102,29 @@ class Dist(Formula):
     child: Formula
 
 
+# an atom name: the one rule of parse and of every valuation check
+_ATOM_PATTERN = r"[a-z][a-z0-9_]*"
+
+# one alternative per token class, tried in order: \s is the whitespace of
+# str.isspace, [0-9] takes no other digits ('²', '٢'), and any other
+# character is an error
+_TOKEN_RE = re.compile(
+    rf"(?P<mark><->|->|[~&|\[\]()<>SD])|(?P<nat>[0-9]+)|(?P<atom>{_ATOM_PATTERN})|\s+|(?P<bad>.)"
+)
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
-    i = 0
-    length = len(text)
-    while i < length:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "~&|[]()>":
-            tokens.append((c, None, i))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                tokens.append(("->", None, i))
-                i += 2
-            else:
-                raise ParseError("expected '->'", i)
-        elif c == "<":
-            if text.startswith("<->", i):
-                tokens.append(("<->", None, i))
-                i += 3
-            else:
-                tokens.append(("<", None, i))
-                i += 1
-        elif c in ("S", "D"):
-            tokens.append((c, None, i))
-            i += 1
-        elif "0" <= c <= "9":  # not str.isdigit, which takes '²' and '٢' too
-            j = i
-            while j < length and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-        elif "a" <= c <= "z":
-            j = i
-            while j < length and ("0" <= text[j] <= "9" or text[j] == "_" or "a" <= text[j] <= "z"):
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, length))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "mark":
+            tokens.append((m[0], None, m.start()))
+        elif kind == "bad":
+            message = "expected '->'" if m[0] == "-" else f"unexpected character {m[0]!r}"
+            raise ParseError(message, m.start())
+        elif kind is not None:
+            tokens.append((kind, m[0], m.start()))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -334,9 +316,7 @@ def expand_s(f: Formula, n: int) -> Formula:
     for kind, arg, kids, g in _compile(f):
         args = [out[k] for k in kids]
         if kind is Some:
-            g = Diamond(1, args[0])
-            for i in range(2, n + 1):
-                g = Or(g, Diamond(i, args[0]))
+            g = functools.reduce(Or, [Diamond(i, args[0]) for i in range(1, n + 1)])
         elif kind is not Atom:
             g = kind(arg, *args) if kind in (Box, Diamond) else kind(*args)
         out.append(g)
@@ -411,14 +391,6 @@ def is_i_local(f: Formula, i: int) -> bool:
     return local[-1]
 
 
-def _conjunction(parts: Iterable[Formula]) -> Formula:
-    items = list(parts)
-    out = items[0]
-    for g in items[1:]:
-        out = And(out, g)
-    return out
-
-
 def wd_instance(local_parts: Sequence[Formula]) -> Formula:
     """Build (S f1 & ... & S fn) -> S S (f1 & ... & fn), S left unexpanded.
 
@@ -429,6 +401,6 @@ def wd_instance(local_parts: Sequence[Formula]) -> Formula:
     for idx, g in enumerate(local_parts, start=1):
         if not is_i_local(g, idx):
             raise LocalityError(f"argument {idx} is not {idx}-local: {pretty(g)}")
-    antecedent = _conjunction(Some(g) for g in local_parts)
-    consequent = Some(Some(_conjunction(local_parts)))
+    antecedent = functools.reduce(And, [Some(g) for g in local_parts])
+    consequent = Some(Some(functools.reduce(And, local_parts)))
     return Implies(antecedent, consequent)

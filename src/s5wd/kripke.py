@@ -29,11 +29,12 @@ from .formula import (
     Not,
     Or,
     Some,
+    _ATOM_PATTERN,
     _compile,
     _compile_all,
 )
 
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
+_ATOM_RE = re.compile(_ATOM_PATTERN)
 
 # the most agents a frame document or enumeration may name: each costs a table
 MAX_AGENTS = 1000
@@ -617,10 +618,7 @@ def component_members(x: Union[Frame, Model]) -> list:
                     root[find(index[u])] = r
             else:
                 root[find(index[w])] = find(index[holder[s]])
-    groups: dict = {}
-    for k, w in enumerate(fr.worlds):
-        groups.setdefault(find(k), []).append(w)
-    return [tuple(g) for g in groups.values()]
+    return list(_group_by(fr.worlds, lambda w: find(index[w])))
 
 
 def connected_components(x: Union[Frame, Model]) -> list:
@@ -922,10 +920,13 @@ def _json_list(value, where: str) -> list:
 
 
 def _symbols(values, where: str) -> tuple:
-    """values as a tuple of symbols; a JSON array or object cannot be one."""
+    """values as a tuple of symbols, the JSON values that world_key can
+    write: strings, integers, true, false and null."""
     for x in _json_list(values, where):
         if isinstance(x, (list, dict)):
             raise ValueError(f"symbol {x!r} in {where} is not a string or number")
+        if isinstance(x, float):
+            raise ValueError(f"symbol {x!r} in {where} is not an integer")
     return tuple(values)
 
 
@@ -961,6 +962,10 @@ def frame_from_json(data: Mapping) -> Frame:
     if n > MAX_AGENTS:
         raise ValueError(f"agent count n must be at most {MAX_AGENTS}")
     worlds = _symbols(_json_field(data, "worlds", "frame JSON"), "'worlds'")
+    # a string world is its own text, so only a symbol of another type can share one
+    shared = sorted({world_key(w) for w in worlds if not isinstance(w, str)}.intersection(worlds))
+    if shared:
+        raise ValueError(f"worlds {shared[0]} and {shared[0]!r} share the text {shared[0]!r}")
     if "relations" in data and "partitions" in data:
         raise ValueError("give either 'relations' or 'partitions', not both")
     if "partitions" in data:

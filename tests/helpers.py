@@ -19,7 +19,6 @@ from s5wd.formula import (
     Or,
     ParseError,
     Some,
-    _tokenize,
     children,
     negation,
 )
@@ -33,7 +32,6 @@ from s5wd.broadcast import (
     ComponentReport,
     DecompositionReport,
     JointProtocol,
-    _recall_map_is_isomorphism,
     action_sequence,
     build_card_game,
     generate_frame,
@@ -401,8 +399,56 @@ def components_by_pair_scan(x) -> list:
     return out
 
 
-# The recursive parser, printer and structural helpers that the compiled
-# formula walk replaced, kept as oracles.
+# The character-loop tokenizer that the one token pattern replaced, and the
+# recursive parser, printer and structural helpers that the compiled formula
+# walk replaced, kept as oracles.
+
+
+def tokenize_by_chars(text: str) -> list:
+    """formula._tokenize by reading one character at a time."""
+    tokens = []
+    i = 0
+    length = len(text)
+    while i < length:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "~&|[]()>":
+            tokens.append((c, None, i))
+            i += 1
+        elif c == "-":
+            if text.startswith("->", i):
+                tokens.append(("->", None, i))
+                i += 2
+            else:
+                raise ParseError("expected '->'", i)
+        elif c == "<":
+            if text.startswith("<->", i):
+                tokens.append(("<->", None, i))
+                i += 3
+            else:
+                tokens.append(("<", None, i))
+                i += 1
+        elif c in ("S", "D"):
+            tokens.append((c, None, i))
+            i += 1
+        elif "0" <= c <= "9":  # not str.isdigit, which takes '²' and '٢' too
+            j = i
+            while j < length and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("nat", text[i:j], i))
+            i = j
+        elif "a" <= c <= "z":
+            j = i
+            while j < length and ("0" <= text[j] <= "9" or text[j] == "_" or "a" <= text[j] <= "z"):
+                j += 1
+            tokens.append(("atom", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", None, length))
+    return tokens
 
 
 class _DescentParser:
@@ -493,7 +539,7 @@ def parse_by_descent(text: str, n: int, *, extended: bool = True) -> Formula:
     """parse by one recursive method per precedence level."""
     if n < 1:
         raise ValueError("agent count n must be at least 1")
-    parser = _DescentParser(_tokenize(text), n, extended)
+    parser = _DescentParser(tokenize_by_chars(text), n, extended)
     f = parser.iff()
     parser.expect("end")
     return f
@@ -1175,6 +1221,24 @@ def build_card_game_by_full_states(deck_size: int, hand_size: int, modeling: str
     return env, play_any_card_protocol(n)
 
 
+def recall_map_is_isomorphism(fr: Frame, members: tuple, coords: dict) -> bool:
+    """True iff tr -> coords[tr] is an isomorphism from the component onto
+    the F image of its coordinate tuples: the tuples are distinct, and agent
+    i relates two members exactly when their i-th coordinates agree."""
+    width = len(coords[members[0]])
+    if fr.n != width - 1:
+        raise ValueError(f"agent counts differ: {fr.n} vs {width - 1}")
+    if len(set(coords.values())) != len(members):
+        return False
+    for i in fr.agents:
+        sharing: dict = {}
+        for tr in members:
+            sharing.setdefault(coords[tr][i], set()).add(tr)
+        if any(fr.succ(i, tr) != sharing[coords[tr][i]] for tr in members):
+            return False
+    return True
+
+
 def verify_hypercube_decomposition_by_exits(fr: Frame, *, mode: str = "hypercube"):
     """verify_hypercube_decomposition with one report and exit per failed check."""
     if mode not in ("hypercube", "full"):
@@ -1224,7 +1288,7 @@ def verify_hypercube_decomposition_by_exits(fr: Frame, *, mode: str = "hypercube
                                     "not-full", (hole,))
                 )
                 continue
-        if not _recall_map_is_isomorphism(fr, members, coords):
+        if not recall_map_is_isomorphism(fr, members, coords):
             reports.append(
                 ComponentReport(members, shared, axis_sizes, False,
                                 "not-isomorphic", ())

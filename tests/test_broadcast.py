@@ -35,6 +35,7 @@ from s5wd.formula import expand_s, parse, wd_instance
 from s5wd.kripke import (
     AgentIndexError,
     BudgetError,
+    Frame,
     check_equivalence,
     check_wd,
     find_isomorphism,
@@ -49,6 +50,7 @@ from helpers import (
     pruned_card_frame,
     random_formula,
     random_hypercube,
+    verify_hypercube_decomposition_by_exits,
 )
 
 BLANK3 = (EPSILON,) * 3
@@ -710,6 +712,24 @@ class TestVerifyDecomposition:
         assert [c.members for c in bad] == [members]
         assert bad[0].reason == "not-isomorphic"
         assert bad[0].axis_sizes == (1, 3, 3)
+
+    def test_recall_map_must_be_one_to_one(self):
+        # traces that differ only past the width of the first one's private
+        # states share every recall state, and so their recall tuple
+        ext = (EPSILON, EPSILON)
+        worlds = [((ext, ("e", "a")),), ((ext, ("e", "a", "x")),)]
+        fr = Frame(1, worlds, [[(u, v) for u in worlds for v in worlds]])
+        (report,) = verify_hypercube_decomposition(fr, mode="full").components
+        assert (report.ok, report.reason, report.axis_sizes) == (False, "not-isomorphic", (1, 1))
+        assert verify_hypercube_decomposition_by_exits(fr, mode="full").components == (report,)
+
+    def test_agent_counts_differ(self):
+        # every component passes the product checks, then the counts are compared
+        fr = generate_frame(light_switch_env(), flip_protocol(), 2)
+        twice = Frame(2, fr.worlds, [fr.relations[0]] * 2)
+        for mode in ("hypercube", "full"):
+            with pytest.raises(ValueError, match=r"^agent counts differ: 2 vs 1$"):
+                verify_hypercube_decomposition(twice, mode=mode)
 
     def test_action_mismatch_is_detected(self):
         report = verify_hypercube_decomposition(glued_card_frame())

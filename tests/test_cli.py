@@ -152,6 +152,24 @@ class TestCheck:
         argv = ["check", "--model", str(path), "--world", world, "--formula", "p"]
         assert run(capsys, argv) == (1 if err else 0, out, err)
 
+    @pytest.mark.parametrize("worlds, block, message", [
+        ([1.5, "a"], [1.5], "symbol 1.5 in 'worlds' is not an integer"),
+        ([1, "1"], ["1"], "worlds 1 and '1' share the text '1'"),
+    ])
+    @pytest.mark.parametrize("command", ["components", "frame-props", "check"])
+    def test_unnamed_world_rejected(self, capsys, tmp_path, worlds, block, message, command):
+        # every command refuses a world that no JSON key could name
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"n": 1, "worlds": worlds, "partitions": {"1": [[worlds[0]], block]},
+             "valuation": {"1": ["p"]}}
+        ))
+        flag = "--model" if command == "check" else "--frame"
+        argv = [command, flag, str(path)]
+        if command == "check":
+            argv += ["--world", "1", "--formula", "p"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -851,6 +869,19 @@ class TestBroadcast:
         )
         assert code == 1
         assert "error:" in err
+
+    def test_oversized_card_game_refused_unbuilt(self, capsys):
+        # C(2000, 1)^2 = 4,000,000 initial states, each a depth-1 trace: refused
+        # before the game is built, which would take minutes and gigabytes
+        argv = ["broadcast", "simulate", "--card-game", "deck=2000,hand=1", "--depth", "1"]
+        assert run(capsys, argv) == (1, "", "error: more than 20000 traces at depth 1\n")
+        # 141^2 = 19,881 traces fit the default bound, 142^2 = 20,164 do not
+        argv = ["broadcast", "simulate", "--card-game", "deck=142,hand=1", "--depth", "1"]
+        assert run(capsys, argv) == (1, "", "error: more than 20000 traces at depth 1\n")
+        argv = ["broadcast", "simulate", "--card-game", "deck=3,hand=1", "--depth", "1",
+                "--max-worlds", "9"]
+        assert run(capsys, argv)[:2] == (0, "n: 2\ndepth: 1\nhomogeneous: True\nworlds: 9\n"
+                                             "components: 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,6 +37,7 @@ from s5wd.formula import (
     Not,
     Or,
     Some,
+    _tokenize,
     atoms,
     expand_s,
     formula_size,
@@ -123,6 +124,7 @@ from helpers import (
     split_pair_model,
     subformula_closure_by_recursion,
     subformulas_by_recursion,
+    tokenize_by_chars,
     two_block_model,
     union_by_pairs,
     valuation_by_loop,
@@ -714,6 +716,30 @@ def test_parse_matches_recursive_descent():
     # well-formed text, syntax errors and agent errors all occur often
     assert set(counts) == {"formula", "ParseError", "AgentIndexError"}, counts
     assert min(counts.values()) > 300, counts
+
+
+# characters the tokenizer treats alike or apart: marks, a lone '-', ASCII and
+# other digits and letters, and whitespace that str.isspace takes
+_CHARS = "pqz019_~&|-<>[]()SDP@\u00e9\u00b2\u0662 \t\n\x1c\x85\u00a0\u2028\u3000"
+
+
+def test_tokenize_matches_character_loop():
+    rng = random.Random(19)
+    texts = [random_formula_text(rng) for _ in range(5000)]
+    texts += ["".join(rng.choices(_CHARS, k=rng.randint(0, 10))) for _ in range(20000)]
+    texts += ["".join(chr(rng.randrange(0x110000)) for _ in range(3)) for _ in range(2000)]
+    # every code point of the basic plane, alone and between two atoms
+    single = [chr(c) for c in range(0x10000)]
+    texts += single + [f"p{c}q" for c in single]
+    counts: dict = {}
+    for text in texts:
+        got = value_or_error(_tokenize, text)
+        assert got == value_or_error(tokenize_by_chars, text), repr(text)
+        kind = "tokens" if isinstance(got, list) else got[1].partition(" ")[0]
+        counts[kind] = counts.get(kind, 0) + 1
+    # token lists and both errors, "expected '->'" and "unexpected character",
+    # occur often
+    assert min(counts.values()) > 1000 and len(counts) == 3, counts
 
 
 def test_formula_helpers_match_recursive_walks():

@@ -630,6 +630,23 @@ class TestJson:
         with pytest.raises(ValueError, match="at most 1000"):
             frame_from_json({"n": kripke.MAX_AGENTS + 1, **data})
 
+    def test_every_world_has_its_own_text(self):
+        # world-keyed readers and writers go by world_key, which writes no float
+        # and gives 1 and "1" the same text
+        with pytest.raises(ValueError, match=r"^symbol 1\.5 in 'worlds' is not an integer$"):
+            frame_from_json({"n": 1, "worlds": [1.5, "a"], "relations": {"1": [[1.5, 1.5]]}})
+        with pytest.raises(ValueError, match=r"^symbol 0\.5 in a block of partition 1 is not"):
+            frame_from_json({"n": 1, "worlds": ["a"], "partitions": {"1": [["a", 0.5]]}})
+        # the other world is written as in the document; of several texts, the least
+        clashes = (([1, "1"], "1"), (["a", None, "null"], "null"), (["true", True], "true"),
+                   ([2, "2", "1", 1], "1"))
+        for worlds, text in clashes:
+            with pytest.raises(ValueError) as err:
+                frame_from_json({"n": 1, "worlds": worlds, "relations": {}})
+            assert str(err.value) == f"worlds {text} and {text!r} share the text {text!r}"
+        loaded = frame_from_json({"n": 1, "worlds": [1, "a", None, False, "2"], "relations": {}})
+        assert [world_key(w) for w in loaded.worlds] == ["1", "a", "null", "false", "2"]
+
     def test_partitions_validation(self):
         base = {"n": 1, "worlds": ["w0", "w1"]}
         with pytest.raises(ValueError):

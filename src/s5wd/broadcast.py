@@ -337,7 +337,10 @@ def perfect_recall_state(tr, i: int) -> tuple:
     width = len(tr[0][1])
     if not 0 <= i < width:
         raise AgentIndexError(f"agent index {i} out of range 0..{width - 1}")
-    return tuple((s[0], s[1][i]) for s in tr)
+    try:
+        return tuple((s[0], s[1][i]) for s in tr)
+    except IndexError:
+        raise ValueError(f"a state of trace {tr!r} is narrower than its first") from None
 
 
 def action_sequence(tr) -> tuple:
@@ -497,7 +500,7 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
         product_size = math.prod(axis_sizes)
         realized = set(coords.values())
         reason, witness = None, ()
-        if mode == "hypercube" and len(members) != product_size:
+        if mode == "hypercube" and len(realized) != product_size:
             reason = "missing-tuple"
             witness = (next(t for t in itertools.product(*axes) if t not in realized),)
         elif mode == "full" and (

@@ -114,7 +114,9 @@ class Frame:
             raise ValueError("worlds must be nonempty")
         index = {w: k for k, w in enumerate(worlds)}
         if len(index) != len(worlds):
-            raise ValueError("worlds must be distinct")
+            # index holds each world's last position, so the first world off it has a twin
+            w = next(w for k, w in enumerate(worlds) if index[w] != k)
+            raise ValueError(f"worlds {w!r} and {worlds[index[w]]!r} in 'worlds' are equal")
         rels = vars(self).pop("_given")
         if isinstance(rels, _Tables):
             vars(self).update(worlds=worlds, _index=index, _succ=rels[0], _equivalence=rels[1])
@@ -993,7 +995,8 @@ def frame_from_partitions(n: int, worlds: Iterable, partitions) -> Frame:
 
 def model_to_json(m: Model) -> dict:
     data = frame_to_json(m.frame)
-    data["valuation"] = {world_key(w): list(names) for w, names in m.valuation}
+    # the valuation is stored in world order, so it pairs with the written keys
+    data["valuation"] = {key: list(names) for key, (_, names) in zip(data["worlds"], m.valuation)}
     return data
 
 

@@ -1264,7 +1264,7 @@ def verify_hypercube_decomposition_by_exits(fr: Frame, *, mode: str = "hypercube
         axis_sizes = tuple(len(axis) for axis in axes)
         product_size = math.prod(axis_sizes)
         realized = set(coords.values())
-        if mode == "hypercube" and len(members) != product_size:
+        if mode == "hypercube" and len(realized) != product_size:
             missing = next(
                 t for t in itertools.product(*axes) if t not in realized
             )

@@ -295,6 +295,11 @@ class TestObservations:
             perfect_recall_state(tr, 5)
         with pytest.raises(ValueError, match="empty"):
             perfect_recall_state((), 1)
+        # the width is read off the first state, so a narrower later one is named
+        narrowed = tr + ((BLANK3, ("e",)),)
+        with pytest.raises(ValueError) as err:
+            perfect_recall_state(narrowed, 1)
+        assert str(err.value) == f"a state of trace {narrowed!r} is narrower than its first"
 
     def test_action_sequence_drops_initial_state(self):
         tr = (
@@ -715,13 +720,17 @@ class TestVerifyDecomposition:
 
     def test_recall_map_must_be_one_to_one(self):
         # traces that differ only past the width of the first one's private
-        # states share every recall state, and so their recall tuple
+        # states share every recall state, and so their recall tuple; no tuple
+        # of the product is missing, though there are more members than tuples
         ext = (EPSILON, EPSILON)
         worlds = [((ext, ("e", "a")),), ((ext, ("e", "a", "x")),)]
         fr = Frame(1, worlds, [[(u, v) for u in worlds for v in worlds]])
-        (report,) = verify_hypercube_decomposition(fr, mode="full").components
-        assert (report.ok, report.reason, report.axis_sizes) == (False, "not-isomorphic", (1, 1))
-        assert verify_hypercube_decomposition_by_exits(fr, mode="full").components == (report,)
+        for mode in ("hypercube", "full"):
+            (report,) = verify_hypercube_decomposition(fr, mode=mode).components
+            assert (report.ok, report.reason, report.axis_sizes) == (
+                False, "not-isomorphic", (1, 1)
+            )
+            assert verify_hypercube_decomposition_by_exits(fr, mode=mode).components == (report,)
 
     def test_agent_counts_differ(self):
         # every component passes the product checks, then the counts are compared

@@ -76,6 +76,10 @@ class TestParse:
         code, _, err = run(capsys, ["parse", "--formula", "(p", "--n", "1"])
         assert code == 1
         assert err.startswith("error:")
+        # the token pattern's last alternative: any other character, at its position
+        assert run(capsys, ["parse", "--formula", "p @ q", "--n", "1"]) == (
+            1, "", "error: unexpected character '@' (at position 2)\n"
+        )
 
     def test_agent_out_of_range(self, capsys):
         code, _, err = run(capsys, ["parse", "--formula", "[3]p", "--n", "2"])
@@ -218,6 +222,7 @@ MALFORMED = [
     ({"relations": {"1": [["a", "a"]], "2": []}}, "key '2' in 'relations' names no agent 1..1"),
     ({"partitions": {"1": [["a"]], "3": [["a"]]}}, "key '3' in 'partitions' names no agent 1..1"),
     ({"partitions": {" 1": [["a"]]}}, "key ' 1' in 'partitions' names no agent 1..1"),
+    ({"worlds": [1, True], "relations": {}}, "worlds 1 and True in 'worlds' are equal"),
 ]
 
 
@@ -549,6 +554,9 @@ class TestConversions:
         code, out, _ = run(capsys, ["filtrate", "--model", str(path), "--formula", "S p"])
         # <1>p | <2>p: four subformulas and their negations
         assert (code, out.splitlines()[0]) == (0, "closure size: 8")
+        # one kernel run gives every closure member's truth, however deep the formula
+        code, out, _ = run(capsys, ["filtrate", "--model", str(path), "--formula", "[1]" * 300 + "p"])
+        assert (code, out.splitlines()[0]) == (0, "closure size: 602")
         code, out, err = run(capsys, ["filtrate", "--model", str(path), "--formula", "D p"])
         assert (code, out, err) == (1, "", "error: the D operator is not supported by filtration\n")
 
@@ -607,6 +615,13 @@ class TestDecide:
         assert data["verdict"] == "satisfiable"
         witness = model_from_json(data["witness_model"])
         assert satisfies(witness, data["witness_world"], parse("p & ~q", 1))
+        sat = ["decide", "--n", "1", "--mode", "sat", "--max-worlds", "1", "--formula"]
+        # nesting deeper than the recursion limit parses and decides, and of a
+        # repeated flag the last value wins
+        for argv, bound in ((sat + ["p"], 1), (sat + ["~" * 5000 + "p"], 1),
+                            (sat + ["p", "--max-worlds", "2"], 2)):
+            code, out, _ = run(capsys, argv)
+            assert (code, out.splitlines()[:2]) == (0, ["verdict: satisfiable", f"bound: {bound}"])
 
     def test_bad_class_flag(self, capsys):
         code, _, err = run(
@@ -641,6 +656,11 @@ class TestBroadcast:
         assert data["homogeneous"] is True
         assert data["verify"]["ok"] is True
         assert len(data["verify"]["components"]) == 5
+        argv = ["broadcast", "simulate", "--card-game", "deck=6,hand=3", "--depth", "2",
+                "--verify", "hypercube"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "components: 37\nverify (hypercube): ok\n" in out
 
     def test_env_file_with_protocol(self, capsys, tmp_path):
         env, proto = build_card_game(2, 1, "rich")
@@ -695,6 +715,9 @@ class TestBroadcast:
          """key '{"x":1}' in 'valuation' is not the JSON text of a value"""),
         # read like an agent's table: an empty one is rejected
         ({"env_protocol": {}}, "protocol table is empty"),
+        # a transition target outside the agent's private states
+        ({"transitions": [{}, {'[["eps","eps","eps"],"eps",{"set":["c0"]}]': "1"}, {}]},
+         "unknown private state '1' of agent 1"),
     ])
     def test_malformed_env_json(self, capsys, tmp_path, change, message):
         env, _ = build_card_game(2, 1)
@@ -870,18 +893,25 @@ class TestBroadcast:
         assert code == 1
         assert "error:" in err
 
-    def test_oversized_card_game_refused_unbuilt(self, capsys):
-        # C(2000, 1)^2 = 4,000,000 initial states, each a depth-1 trace: refused
-        # before the game is built, which would take minutes and gigabytes
-        argv = ["broadcast", "simulate", "--card-game", "deck=2000,hand=1", "--depth", "1"]
-        assert run(capsys, argv) == (1, "", "error: more than 20000 traces at depth 1\n")
-        # 141^2 = 19,881 traces fit the default bound, 142^2 = 20,164 do not
-        argv = ["broadcast", "simulate", "--card-game", "deck=142,hand=1", "--depth", "1"]
-        assert run(capsys, argv) == (1, "", "error: more than 20000 traces at depth 1\n")
+    def test_oversized_card_game_refused_unbuilt(self, capsys, monkeypatch):
+        # generate_frame refuses a built game with the same message, so count
+        # the environments built; deck 142 first, since building deck 2000
+        # would take minutes and gigabytes
+        built = []
+        init = broadcast.BroadcastEnvironment.__post_init__
+        monkeypatch.setattr(broadcast.BroadcastEnvironment, "__post_init__",
+                            lambda env: built.append(env) or init(env))
+        # 141^2 = 19,881 traces fit the default bound, 142^2 = 20,164 do not,
+        # and C(2000, 1)^2 = 4,000,000 initial states, each a depth-1 trace
+        for deck in ("142", "2000"):
+            argv = ["broadcast", "simulate", "--card-game", f"deck={deck},hand=1", "--depth", "1"]
+            assert run(capsys, argv) == (1, "", "error: more than 20000 traces at depth 1\n")
+            assert built == []
         argv = ["broadcast", "simulate", "--card-game", "deck=3,hand=1", "--depth", "1",
                 "--max-worlds", "9"]
         assert run(capsys, argv)[:2] == (0, "n: 2\ndepth: 1\nhomogeneous: True\nworlds: 9\n"
                                              "components: 1\n")
+        assert len(built) == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -1092,6 +1122,7 @@ def test_module_invocation(capsys, monkeypatch):
         (["parse", "--formula=p", "--n", "1"], "formula: p\n"),
         ([], "usage: s5wd [-h]"),
         (["decide", "--help"], "usage: s5wd decide [-h]"),
+        (["parse", "--formula", "p @ q", "--n", "1"], "error: unexpected character '@'"),
     ):
         monkeypatch.setattr(sys, "argv", ["s5wd", *argv])
         expected = run(capsys, None)

@@ -92,8 +92,11 @@ class TestFrameConstruction:
             Frame(1, [], [[]])
 
     def test_duplicate_worlds(self):
-        with pytest.raises(ValueError):
-            Frame(1, ["w0", "w0"], [[]])
+        # both worlds are named, the first one first
+        with pytest.raises(ValueError, match=r"^worlds 'w0' and 'w0' in 'worlds' are equal$"):
+            Frame(1, ["w0", "w1", "w0"], [[]])
+        with pytest.raises(ValueError, match=r"^worlds 1 and True in 'worlds' are equal$"):
+            frame_from_json({"n": 1, "worlds": [1, True], "relations": {}})
 
     def test_wrong_relation_count(self):
         with pytest.raises(ValueError):
@@ -683,9 +686,13 @@ class TestJson:
         with pytest.raises(ValueError, match="expected 2 partitions"):
             frame_from_partitions(2, worlds, [[["w0", "w1"]]])
 
-    def test_model_round_trip(self):
+    def test_model_round_trip(self, monkeypatch):
         m = missing_corner_model()
+        # each world is encoded once, for its frame entry and its valuation key both
+        encoded = []
+        monkeypatch.setattr(kripke, "world_key", lambda w: encoded.append(w) or world_key(w))
         data = model_to_json(m)
+        assert encoded == list(m.frame.worlds)
         assert data["valuation"] == {"w0": [], "w1": ["p"], "w2": []}
         assert model_from_json(data) == m
 

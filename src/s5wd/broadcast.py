@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .kripke import (
@@ -71,6 +72,14 @@ def _sorted_tuple(values) -> tuple:
     return tuple(sorted(values, key=_key))
 
 
+def _text(value) -> str:
+    """value's _key text, or its repr where _key cannot encode it."""
+    try:
+        return _key(value)
+    except TypeError:
+        return repr(value)
+
+
 def _table_key(key, sequences: tuple, where: str, shape: str) -> tuple:
     """key as a tuple with one member per flag of sequences, a flagged member
     being a tuple too (a list is taken as one); a key of another shape
@@ -79,21 +88,15 @@ def _table_key(key, sequences: tuple, where: str, shape: str) -> tuple:
         isinstance(part, (tuple, list)) for part, seq in zip(key, sequences) if seq
     ):
         return tuple(tuple(part) if seq else part for part, seq in zip(key, sequences))
-    try:
-        text = _key(key)
-    except TypeError:
-        text = repr(key)
-    raise ValueError(f"key {text:.80} in {where} is not {shape}")
+    raise ValueError(f"key {_text(key):.80} in {where} is not {shape}")
 
 
-def _sorted_table(entries, entry) -> tuple:
-    """entries, a mapping or (key, value) pairs, as (key, value) pairs sorted
-    by _key of the key; entry(key, value) checks and normalises one pair, and
-    a later pair with the same key wins."""
+def _table(entries, entry) -> MappingProxyType:
+    """entries, a mapping or (key, value) pairs, as a read-only mapping;
+    entry(key, value) checks and normalises one pair, and a later pair with
+    the same key wins."""
     items = entries.items() if isinstance(entries, Mapping) else entries
-    return tuple(sorted(
-        dict(entry(k, v) for k, v in items).items(), key=lambda kv: _key(kv[0])
-    ))
+    return MappingProxyType(dict(entry(k, v) for k, v in items))
 
 
 @dataclass(frozen=True)
@@ -101,15 +104,17 @@ class BroadcastEnvironment:
     """A broadcast environment for agents 0..n.
 
     external_actions, internal_actions and private_states are per-agent
-    alphabets (index 0 is the environment); every external alphabet must
-    contain EPSILON.  A private_states entry may be None to skip membership
-    checks for that agent.  Give either initial_private (per-agent initial
-    private states; the initial set is their full product, which makes the
-    environment homogeneous) or an explicit initial_states list.  env_protocol
-    is agent 0's AgentProtocol table from observations to action pairs; None
-    means the passive protocol {(EPSILON, EPSILON)}.  transitions is one table per agent keyed
-    by (joint external action, internal action, private state); None means
-    private states never change.  valuation maps states to atom names.
+    alphabets (index 0 is the environment), stored as frozensets; every
+    external alphabet must contain EPSILON.  A private_states entry may be
+    None to skip membership checks for that agent.  Give either
+    initial_private (per-agent initial pools; the initial set is their full
+    product, which makes the environment homogeneous) or an explicit
+    initial_states list.  env_protocol is agent 0's AgentProtocol table from
+    observations to action pairs; None means the passive protocol.
+    transitions is one table per agent keyed by (joint external action,
+    internal action, private state); None means private states never change.
+    valuation maps states to atom names.  Tables are stored as read-only
+    mappings: an environment compares by value but is not hashable.
     """
 
     n: int
@@ -118,21 +123,19 @@ class BroadcastEnvironment:
     private_states: tuple
     initial_private: Optional[tuple] = None
     initial_states: Optional[tuple] = None
-    env_protocol: Optional[tuple] = None
+    env_protocol: Optional[Mapping] = None
     transitions: Optional[tuple] = None
-    valuation: tuple = ()
+    valuation: Mapping = ()
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError("need at least one agent besides the environment")
         width = self.n + 1
-        object.__setattr__(self, "_alphabet_sets", {})
-        self._alphabets("external_actions", "external action")
-        for i in range(width):
-            if not self._knows("external action", i, EPSILON):
+        for i, actions in enumerate(self._alphabets("external_actions")):
+            if EPSILON not in actions:
                 raise ValueError(f"external actions of agent {i} lack {EPSILON!r}")
-        self._alphabets("internal_actions", "internal action")
-        self._alphabets("private_states", "private state")
+        self._alphabets("internal_actions")
+        self._alphabets("private_states")
 
         if (self.initial_private is None) == (self.initial_states is None):
             raise ValueError("give exactly one of initial_private or initial_states")
@@ -154,70 +157,60 @@ class BroadcastEnvironment:
         object.__setattr__(self, "initial_states", states)
 
         if self.env_protocol is None:
-            if not self._knows("internal action", 0, EPSILON):
+            if not self._knows("internal_actions", 0, EPSILON):
                 raise ValueError(
                     "the passive environment protocol needs the null internal action"
                 )
             protocol = AgentProtocol("pass")
         else:
             protocol = AgentProtocol("table", self.env_protocol)
-            for _, actions in protocol.table:
+            for actions in protocol.table.values():
                 for a, b in actions:
-                    if not (self._knows("external action", 0, a)
-                            and self._knows("internal action", 0, b)):
+                    if not (self._knows("external_actions", 0, a)
+                            and self._knows("internal_actions", 0, b)):
                         raise ValueError(f"unknown environment action {(a, b)!r}")
             object.__setattr__(self, "env_protocol", protocol.table)
         object.__setattr__(self, "_env_protocol", protocol)
 
-        if self.transitions is None:
-            tau_maps = None
-        else:
+        if self.transitions is not None:
             if len(self.transitions) != width:
                 raise ValueError(f"transitions must have {width} entries")
-            tables = tuple(
-                _sorted_table(table, functools.partial(self._transition, i))
+            object.__setattr__(self, "transitions", tuple(
+                _table(table, functools.partial(self._transition, i))
                 for i, table in enumerate(self.transitions)
-            )
-            object.__setattr__(self, "transitions", tables)
-            tau_maps = [dict(table) for table in tables]
-        object.__setattr__(self, "_tau_maps", tau_maps)
+            ))
+        valuation = _table(self.valuation, self._labels).items()
+        object.__setattr__(self, "valuation", MappingProxyType({s: a for s, a in valuation if a}))
 
-        valuation = tuple(kv for kv in _sorted_table(self.valuation, self._labels) if kv[1])
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "_val_map", dict(valuation))
-        object.__setattr__(self, "_initial_set", frozenset(self.initial_states))
-
-    def _knows(self, noun, i, value) -> bool:
-        """True iff value is in agent i's alphabet of noun ("external action",
-        "internal action" or "private state"); a None alphabet takes every
-        value, and an unhashable value is in none."""
-        alphabet = self._alphabet_sets[noun][i]
+    def _knows(self, name, i, value) -> bool:
+        """True iff value is in agent i's alphabet of the field name
+        (external_actions, internal_actions or private_states); a None
+        alphabet takes every value, and an unhashable value is in none."""
+        alphabet = getattr(self, name)[i]
         try:
             return alphabet is None or value in alphabet
         except TypeError:
             return False
 
-    def _require(self, noun, entries) -> None:
+    def _require(self, name, entries) -> None:
         for i, value in entries:
-            if not self._knows(noun, i, value):
-                raise ValueError(f"unknown {noun} {value!r} of agent {i}")
+            if not self._knows(name, i, value):
+                shown = repr(value) if isinstance(value, str) else _text(value)
+                raise ValueError(f"unknown {name[:-1].replace('_', ' ')} {shown} of agent {i}")
 
-    def _alphabets(self, name, noun=None) -> tuple:
-        """Store the field name as one sorted tuple per agent and, given the
-        noun for its values, index it for _knows as one set per agent.  A None
+    def _alphabets(self, name) -> tuple:
+        """Store the field name as one frozenset per agent.  A None
         private_states entry stays None: that agent goes unchecked."""
         if len(entries := getattr(self, name)) != self.n + 1:
             raise ValueError(f"{name} must have {self.n + 1} entries")
         out = tuple(
-            None if name == "private_states" and entry is None else _sorted_tuple(set(entry))
+            None if name == "private_states" and entry is None else frozenset(entry)
             for entry in entries
         )
         for i, entry in enumerate(out):
-            if entry == ():
+            if entry == frozenset():
                 raise ValueError(f"{name} of agent {i} is empty")
         object.__setattr__(self, name, out)
-        if noun is not None:
-            self._alphabet_sets[noun] = tuple(None if a is None else frozenset(a) for a in out)
         return out
 
     def _transition(self, i, key, target) -> tuple:
@@ -226,9 +219,9 @@ class BroadcastEnvironment:
                                 "[joint action, internal action, private state]")
         if len(avec) != self.n + 1:
             raise ValueError("transition keys need a full joint action")
-        self._require("external action", enumerate(avec))
-        self._require("internal action", [(i, b)])
-        self._require("private state", [(i, p), (i, target)])
+        self._require("external_actions", enumerate(avec))
+        self._require("internal_actions", [(i, b)])
+        self._require("private_states", [(i, p), (i, target)])
         return (avec, b, p), target
 
     def _labels(self, state, atoms) -> tuple:
@@ -242,8 +235,8 @@ class BroadcastEnvironment:
         width = self.n + 1
         if len(s) != 2 or len(s[0]) != width or len(s[1]) != width:
             raise ValueError(f"malformed state: {s!r}")
-        self._require("external action", enumerate(s[0]))
-        self._require("private state", enumerate(s[1]))
+        self._require("external_actions", enumerate(s[0]))
+        self._require("private_states", enumerate(s[1]))
 
     @property
     def homogeneous(self) -> bool:
@@ -251,22 +244,22 @@ class BroadcastEnvironment:
         return _is_product(priv for _, priv in self.initial_states)
 
     def atoms_at(self, state) -> tuple:
-        return self._val_map.get(state, ())
+        return self.valuation.get(state, ())
 
 
 @dataclass(frozen=True)
 class AgentProtocol:
     """Memoryless protocol: a table from last observation to enabled action
-    pairs, or a named builtin ("pass", "play-any-card")."""
+    pairs, or a named builtin ("pass", "play-any-card").  The table is stored
+    as a read-only mapping, each action list _key-sorted."""
 
     kind: str
-    table: Optional[tuple] = None
+    table: Optional[Mapping] = None
 
     def __post_init__(self):
         if self.kind in BUILTIN_PROTOCOLS:
             if self.table is not None:
                 raise ValueError(f"builtin protocol {self.kind!r} takes no table")
-            object.__setattr__(self, "_table_map", None)
             return
         if self.kind != "table":
             raise ValueError(f"unknown protocol kind {self.kind!r}")
@@ -278,11 +271,10 @@ class AgentProtocol:
             return _table_key(obs, (True, False), "a protocol table",
                               "an observation [joint action, private state]"), acts
 
-        table = _sorted_table(self.table, entry)
+        table = _table(self.table, entry)
         if not table:
             raise ValueError("protocol table is empty")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_table_map", dict(table))
 
     def enabled(self, obs) -> tuple:
         if self.kind == "pass":
@@ -292,7 +284,7 @@ class AgentProtocol:
             if hand:
                 return tuple((frozenset({c}), EPSILON) for c in _sorted_tuple(hand))
             return ((frozenset(), EPSILON),)
-        actions = self._table_map.get(obs)
+        actions = self.table.get(obs)
         if actions is None:
             raise ValueError(f"protocol undefined for observation {_key(obs)}")
         return actions
@@ -358,7 +350,7 @@ def enabled_joint_actions(e: BroadcastEnvironment, p: JointProtocol, tr) -> froz
     for i, protocol in enumerate((e._env_protocol, *p.agents)):
         actions = protocol.enabled(observation(e, i, fin))
         for a, b in actions:
-            if not (e._knows("external action", i, a) and e._knows("internal action", i, b)):
+            if not (e._knows("external_actions", i, a) and e._knows("internal_actions", i, b)):
                 raise ValueError(f"protocol action {(a, b)!r} unknown to agent {i}")
         per_agent.append(actions)
     return frozenset(itertools.product(*per_agent))
@@ -370,10 +362,10 @@ def _apply(e: BroadcastEnvironment, s, joint) -> tuple:
     for i in range(e.n + 1):
         b = joint[i][1]
         p = s[1][i]
-        if e._tau_maps is None:
+        if e.transitions is None:
             priv.append(p)
             continue
-        target = e._tau_maps[i].get((ext, b, p))
+        target = e.transitions[i].get((ext, b, p))
         if target is None:
             raise ValueError(
                 f"transition undefined for agent {i} at {_key((ext, b, p))}"
@@ -385,7 +377,7 @@ def _apply(e: BroadcastEnvironment, s, joint) -> tuple:
 def replay_consistent(e: BroadcastEnvironment, p: JointProtocol, tr) -> bool:
     """True iff the trace starts initial and every step is reachable by an
     enabled joint action."""
-    if not tr or tr[0] not in e._initial_set:
+    if not tr or tr[0] not in e.initial_states:
         return False
     for k in range(len(tr) - 1):
         options = {
@@ -622,30 +614,30 @@ def env_from_hypercube(h: GlobalStateSystem, val) -> BroadcastEnvironment:
     )
 
 
-def _action_table_json(table) -> dict:
-    return {_key(obs): [_encode(a) for a in acts] for obs, acts in table}
+def _json_table(table, value) -> dict:
+    """table as a JSON object, keyed by _key texts in order, each value as value(v)."""
+    return dict(sorted((_key(k), value(v)) for k, v in table.items()))
+
+
+def _json_alphabets(alphabets) -> list:
+    return [None if a is None else [_encode(v) for v in _sorted_tuple(a)] for a in alphabets]
 
 
 def environment_to_json(e: BroadcastEnvironment) -> dict:
     data = {
         "n": e.n,
-        "external_actions": [[_encode(a) for a in acts] for acts in e.external_actions],
-        "internal_actions": [[_encode(a) for a in acts] for acts in e.internal_actions],
-        "private_states": [
-            None if entry is None else [_encode(p) for p in entry]
-            for entry in e.private_states
-        ],
-        "valuation": {_key(s): list(atoms) for s, atoms in e.valuation},
+        "external_actions": _json_alphabets(e.external_actions),
+        "internal_actions": _json_alphabets(e.internal_actions),
+        "private_states": _json_alphabets(e.private_states),
+        "valuation": _json_table(e.valuation, list),
     }
     if e.initial_private is not None:
-        data["initial_private"] = [[_encode(p) for p in pool] for pool in e.initial_private]
+        data["initial_private"] = _json_alphabets(e.initial_private)
     else:
         data["initial_states"] = [_encode(s) for s in e.initial_states]
-    data["env_protocol"] = (
-        None if e.env_protocol is None else _action_table_json(e.env_protocol)
-    )
+    data["env_protocol"] = None if e.env_protocol is None else _json_table(e.env_protocol, _encode)
     data["transitions"] = None if e.transitions is None else [
-        {_key(key): _encode(target) for key, target in table} for table in e.transitions
+        _json_table(table, _encode) for table in e.transitions
     ]
     return data
 
@@ -720,7 +712,7 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
 
 def protocol_to_json(p: JointProtocol) -> dict:
     return {"agents": [
-        {"kind": "table", "table": _action_table_json(entry.table)}
+        {"kind": "table", "table": _json_table(entry.table, _encode)}
         if entry.kind == "table" else {"kind": entry.kind}
         for entry in p.agents
     ]}

@@ -112,11 +112,7 @@ class Frame:
         worlds = tuple(self.worlds)
         if not worlds:
             raise ValueError("worlds must be nonempty")
-        index = {w: k for k, w in enumerate(worlds)}
-        if len(index) != len(worlds):
-            # index holds each world's last position, so the first world off it has a twin
-            w = next(w for k, w in enumerate(worlds) if index[w] != k)
-            raise ValueError(f"worlds {w!r} and {worlds[index[w]]!r} in 'worlds' are equal")
+        index = _world_index(worlds)
         rels = vars(self).pop("_given")
         if isinstance(rels, _Tables):
             vars(self).update(worlds=worlds, _index=index, _succ=rels[0], _equivalence=rels[1])
@@ -876,6 +872,16 @@ def frame_from_labels(n: int, worlds: Iterable, label) -> Frame:
     return Frame(n, worlds, _Tables(tuple(succ), True))
 
 
+def _world_index(worlds: tuple) -> dict:
+    """Position of each world; two Python-equal worlds raise a ValueError."""
+    index = {w: k for k, w in enumerate(worlds)}
+    if len(index) != len(worlds):
+        # index holds each world's last position, so the first world off it has a twin
+        w = next(w for k, w in enumerate(worlds) if index[w] != k)
+        raise ValueError(f"worlds {w!r} and {worlds[index[w]]!r} in 'worlds' are equal")
+    return index
+
+
 def _block_labels(worlds: tuple, blocks) -> dict:
     """Block index of each world; blocks must partition worlds exactly."""
     label = {}
@@ -989,6 +995,7 @@ def frame_from_partitions(n: int, worlds: Iterable, partitions) -> Frame:
     partitions = list(partitions)
     if len(partitions) != n:
         raise ValueError(f"expected {n} partitions, got {len(partitions)}")
+    _world_index(worlds)  # before the blocks, which would read equal worlds as one
     labels = [_block_labels(worlds, blocks) for blocks in partitions]
     return frame_from_labels(n, worlds, lambda i, w: labels[i - 1][w])
 

@@ -1,5 +1,6 @@
 """Broadcast environments, trace frames, and hypercube decomposition."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -417,11 +418,26 @@ class TestTableEnvironmentProtocol:
 
     def test_table_is_normalized(self):
         e = clock_env()
-        assert [obs for obs, _ in e.env_protocol] == [
-            (BLANK2, "idle"), (BLANK2, "wound"), (TICKED, "wound")
+        assert e.env_protocol == {
+            (BLANK2, "idle"): ((EPSILON, EPSILON), ("tick", "wind")),
+            (BLANK2, "wound"): ((EPSILON, EPSILON),),
+            (TICKED, "wound"): ((EPSILON, EPSILON),),
+        }
+        assert e.external_actions == (frozenset({EPSILON, "tick"}), frozenset({EPSILON}))
+        with pytest.raises(TypeError):
+            e.env_protocol[(TICKED, "idle")] = ((EPSILON, EPSILON),)
+        # equality does not depend on the order entries are given in
+        backwards = clock_env(
+            external_actions=(("tick", EPSILON), (EPSILON,)),
+            env_protocol=[(obs, acts[::-1]) for obs, acts in reversed(e.env_protocol.items())],
+            transitions=tuple(dict(reversed(table.items())) for table in e.transitions),
+        )
+        assert backwards == e
+        # JSON writes each table in _key order of its keys, whatever order it was given in
+        assert json.dumps(environment_to_json(backwards)) == json.dumps(environment_to_json(e))
+        assert list(environment_to_json(backwards)["env_protocol"]) == [
+            '[["eps","eps"],"idle"]', '[["eps","eps"],"wound"]', '[["tick","eps"],"wound"]'
         ]
-        assert e.env_protocol[0][1] == ((EPSILON, EPSILON), ("tick", "wind"))
-        assert clock_env(env_protocol=list(dict(e.env_protocol).items())) == e
 
     def test_undefined_observation(self):
         e = clock_env(env_protocol={(BLANK2, "idle"): [(EPSILON, EPSILON)]})
@@ -860,6 +876,29 @@ class TestJson:
         ):
             data = protocol_to_json(p)
             assert protocol_from_json(json.loads(json.dumps(data))) == p
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: build_card_game(3, 1, "rich")[0],
+         "3b5f76799d381632f97f8360a695c1bb6ef7a2c25c0552e7e6fdf2c3fc0a725c"),
+        (clock_env, "37bec640a4efd55a89fbd835bde1d096d07b993f9e6bca23ccf207169b4d3158"),
+    ], ids=["rich-deck3-hand1", "clock"])
+    def test_json_text_is_pinned(self, build, digest):
+        # the written order is part of the format: no sort_keys here
+        text = json.dumps(environment_to_json(build()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_unencodable_value_fails_when_written(self):
+        # tables and alphabets are not sorted when built, so a float private
+        # state outside the initial pools is caught by the writer
+        e = BroadcastEnvironment(
+            1,
+            external_actions=((EPSILON,), (EPSILON,)),
+            internal_actions=((EPSILON,), (EPSILON,)),
+            private_states=(("e",), ("p", 1.5)),
+            initial_private=(("e",), ("p",)),
+        )
+        with pytest.raises(TypeError, match="not serializable: 1.5"):
+            environment_to_json(e)
 
     def test_json_is_deterministic(self):
         a, _ = build_card_game(3, 1)

@@ -159,6 +159,8 @@ class TestCheck:
     @pytest.mark.parametrize("worlds, block, message", [
         ([1.5, "a"], [1.5], "symbol 1.5 in 'worlds' is not an integer"),
         ([1, "1"], ["1"], "worlds 1 and '1' share the text '1'"),
+        # Python-equal worlds are named before the blocks are read
+        ([1, True], [True], "worlds 1 and True in 'worlds' are equal"),
     ])
     @pytest.mark.parametrize("command", ["components", "frame-props", "check"])
     def test_unnamed_world_rejected(self, capsys, tmp_path, worlds, block, message, command):
@@ -718,6 +720,9 @@ class TestBroadcast:
         # a transition target outside the agent's private states
         ({"transitions": [{}, {'[["eps","eps","eps"],"eps",{"set":["c0"]}]': "1"}, {}]},
          "unknown private state '1' of agent 1"),
+        # a value other than a string is shown by its JSON text
+        ({"transitions": [{}, {'[["eps","eps","eps"],"eps",{"set":["c0"]}]': {"set": ["b"]}}, {}]},
+         'unknown private state {"set":["b"]} of agent 1'),
     ])
     def test_malformed_env_json(self, capsys, tmp_path, change, message):
         env, _ = build_card_game(2, 1)

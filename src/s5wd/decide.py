@@ -30,12 +30,13 @@ from .kripke import (
     BudgetError,
     Frame,
     Model,
+    _Tables,
     _countermodel,
+    _group_by,
     check_d,
     check_equivalence,
     check_i,
     check_wd,
-    frame_from_labels,
     is_connected,
 )
 
@@ -78,17 +79,16 @@ class Verdict:
         return self.kind != "unknown"
 
 
-def _bell_numbers(k: int) -> list:
-    # bell[j] = number of partitions of a j-set, via the Bell triangle
-    bell = [1]
+def _bell_numbers() -> Iterator[int]:
+    """Bell(1), Bell(2), ...: the number of partitions of a k-set, one per
+    row of the Bell triangle."""
     row = [1]
-    for _ in range(k):
+    while True:
         nxt = [row[-1]]
         for value in row:
             nxt.append(nxt[-1] + value)
         row = nxt
-        bell.append(row[0])
-    return bell
+        yield row[0]
 
 
 def _growth_strings(k: int) -> list:
@@ -134,7 +134,8 @@ def enumerate_frames(
     relabellings that generate them all, the swap of w0 and w1 and the
     rotation w_j -> w_(j+1 mod k); only first tuples become frames.
 
-    Raises BudgetError when the raw partition-tuple count exceeds budget.
+    Raises BudgetError when the raw partition-tuple count exceeds budget,
+    at the first world count whose running total does, before any scan.
     """
     if klass not in CLASS_NAMES:
         raise ValueError(f"unknown frame class {klass!r}; expected one of {CLASS_NAMES}")
@@ -142,40 +143,50 @@ def enumerate_frames(
         raise ValueError("need n >= 1 and max_worlds >= 1")
     if n > MAX_AGENTS:
         raise ValueError(f"agent count n must be at most {MAX_AGENTS}")
-    bells = _bell_numbers(max_worlds)
-    total = sum(bells[k] ** n for k in range(1, max_worlds + 1))
-    if total > budget:
-        raise BudgetError(
-            f"enumeration would scan {total} partition tuples, over budget {budget}"
-        )
+    total = 0
+    for k, bell in zip(range(1, max_worlds + 1), _bell_numbers()):
+        total += bell**n
+        if total > budget:
+            raise BudgetError(
+                f"enumeration would scan more than {budget} partition tuples at world "
+                f"count {k}; raise --frame-budget (frame_budget=) or lower --max-worlds"
+            )
     for k in range(1, max_worlds + 1):
-        worlds = [f"w{j}" for j in range(k)]
-        position = {w: j for j, w in enumerate(worlds)}
+        worlds = tuple(f"w{j}" for j in range(k))
         strings = _growth_strings(k)
+        count = len(strings)
         index = {s: idx for idx, s in enumerate(strings)}
         perms = [[1, 0] + list(range(2, k)), [(j + 1) % k for j in range(k)]] if k > 1 else []
-        tables = [_relabel_table(strings, index, perm) for perm in perms]
-        # tuple code: partition indices as base-Bell(k) digits, agent 1 first
-        places = [len(strings) ** (n - 1 - a) for a in range(n)]
-        marked = bytearray(len(strings) ** n)
-        for code in range(len(marked)):
-            if marked[code]:
-                continue
+        # tuple code: partition indices as base-Bell(k) digits, agent 1 first;
+        # a relabelling maps (hi, lo) = divmod(code, top) to head[hi] + rest[lo]
+        top = count ** (n - 1)
+        steps = []
+        for table in (_relabel_table(strings, index, perm) for perm in perms):
+            rest = [0]
+            for _ in range(n - 1):
+                rest = [r * count + t for r in rest for t in table]
+            steps.append(([d * top for d in table], rest))
+        places = [count ** (n - 1 - a) for a in range(n)]
+        succ: dict = {}  # partition index -> world -> its block, built on first use
+        marked = bytearray(count**n)
+        code = -1
+        while (code := marked.find(0, code + 1)) >= 0:  # the next orbit's first tuple
             marked[code] = 1
             stack = [code]
             while stack:
-                rest = stack.pop()
-                digits = []
-                for place in places:
-                    digit, rest = divmod(rest, place)
-                    digits.append(digit)
-                for table in tables:
-                    image = sum(table[d] * place for d, place in zip(digits, places))
+                hi, lo = divmod(stack.pop(), top)
+                for head, rest in steps:
+                    image = head[hi] + rest[lo]
                     if not marked[image]:
                         marked[image] = 1
                         stack.append(image)
-            combo = [strings[(code // place) % len(strings)] for place in places]
-            fr = frame_from_labels(n, worlds, lambda i, w: combo[i - 1][position[w]])
+            digits = [code // place % count for place in places]
+            for d in digits:
+                if d not in succ:
+                    succ[d] = {}
+                    for block in _group_by(worlds, dict(zip(worlds, strings[d])).__getitem__):
+                        succ[d].update(dict.fromkeys(block, frozenset(block)))
+            fr = Frame(n, worlds, _Tables(tuple(map(succ.__getitem__, digits)), True))
             if not frame_in_class(fr, klass):
                 continue
             if connected_only and not is_connected(fr):

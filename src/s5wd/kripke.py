@@ -443,7 +443,8 @@ def _countermodel(fr: Frame, nodes: list, max_assignments: int) -> Optional[tupl
     bits = size * k
     if 2**bits > max_assignments:
         raise BudgetError(
-            f"frame validity needs 2^{bits} valuations, over budget {max_assignments}"
+            f"frame validity needs 2^{bits} valuations, over budget {max_assignments}; "
+            "raise --max-assignments (max_assignments=)"
         )
     _check_nodes(fr, nodes)
     kernel = _Kernel(fr, nodes)

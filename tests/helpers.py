@@ -39,7 +39,7 @@ from s5wd.broadcast import (
     play_any_card_protocol,
     verify_hypercube_decomposition,
 )
-from s5wd.decide import frame_in_class
+from s5wd.decide import _growth_strings, _relabel_table, frame_in_class
 from s5wd.filtration import Filtration
 from s5wd.formula import atoms, has_node, subformula_closure
 from s5wd.kripke import (
@@ -57,6 +57,7 @@ from s5wd.kripke import (
     equivalence_classes,
     extension,
     find_isomorphism,
+    frame_from_labels,
     frame_from_partitions,
     frame_of,
     is_connected,
@@ -708,7 +709,8 @@ def countermodel_by_valuation(fr, f, *, max_assignments: int = 2**20):
     size = len(fr.worlds)
     if 2 ** (size * k) > max_assignments:
         raise BudgetError(
-            f"frame validity needs 2^{size * k} valuations, over budget {max_assignments}"
+            f"frame validity needs 2^{size * k} valuations, over budget {max_assignments}; "
+            "raise --max-assignments (max_assignments=)"
         )
     for bits in itertools.product((False, True), repeat=size * k):
         valuation = {
@@ -749,6 +751,44 @@ def frame_signature(fr: Frame) -> tuple:
             tuple(len(fr.succ(i, w)) for i in fr.agents) + (len(fr.isucc(w)),)
         )
     return tuple(sorted(per_world))
+
+
+def enumerate_frames_by_marking(n: int, max_worlds: int, klass: str = "e", *,
+                                connected_only: bool = False):
+    """enumerate_frames with every tuple code split into its n digits for each
+    relabelling, and each orbit's first tuple built by frame_from_labels."""
+    for k in range(1, max_worlds + 1):
+        worlds = [f"w{j}" for j in range(k)]
+        position = {w: j for j, w in enumerate(worlds)}
+        strings = _growth_strings(k)
+        index = {s: idx for idx, s in enumerate(strings)}
+        perms = [[1, 0] + list(range(2, k)), [(j + 1) % k for j in range(k)]] if k > 1 else []
+        tables = [_relabel_table(strings, index, perm) for perm in perms]
+        places = [len(strings) ** (n - 1 - a) for a in range(n)]
+        marked = bytearray(len(strings) ** n)
+        for code in range(len(marked)):
+            if marked[code]:
+                continue
+            marked[code] = 1
+            stack = [code]
+            while stack:
+                rest = stack.pop()
+                digits = []
+                for place in places:
+                    digit, rest = divmod(rest, place)
+                    digits.append(digit)
+                for table in tables:
+                    image = sum(table[d] * place for d, place in zip(digits, places))
+                    if not marked[image]:
+                        marked[image] = 1
+                        stack.append(image)
+            combo = [strings[(code // place) % len(strings)] for place in places]
+            fr = frame_from_labels(n, worlds, lambda i, w: combo[i - 1][position[w]])
+            if not frame_in_class(fr, klass):
+                continue
+            if connected_only and not is_connected(fr):
+                continue
+            yield fr
 
 
 def enumerate_frames_pairwise(n: int, max_worlds: int, klass: str = "e", *,

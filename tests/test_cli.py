@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import s5wd
-from s5wd import broadcast, cli, kripke
+from s5wd import broadcast, cli, decide, kripke
 from s5wd.broadcast import build_card_game, environment_to_json, protocol_to_json
 from s5wd.cli import main
 from s5wd.kripke import (
@@ -624,6 +624,33 @@ class TestDecide:
                             (sat + ["p", "--max-worlds", "2"], 2)):
             code, out, _ = run(capsys, argv)
             assert (code, out.splitlines()[:2]) == (0, ["verdict: satisfiable", f"bound: {bound}"])
+
+    def test_huge_bound_refused_after_few_bell_rows(self, capsys, monkeypatch):
+        rows = []
+        bell_numbers = decide._bell_numbers
+
+        def counted():
+            for bell in bell_numbers():
+                rows.append(bell)
+                # a search that sums every row up to the bound fails here
+                assert len(rows) < 100, "Bell rows computed past the budget"
+                yield bell
+
+        monkeypatch.setattr(decide, "_bell_numbers", counted)
+        argv = ["decide", "--formula", "p", "--n", "2", "--mode", "sat",
+                "--max-worlds", "100000000", "--class", "e"]
+        assert run(capsys, argv) == (
+            1, "", "error: enumeration would scan more than 50000 partition tuples at world "
+            "count 7; raise --frame-budget (frame_budget=) or lower --max-worlds\n")
+        # 1 + 2^2 + ... + 203^2 = 44,168 tuples fit the budget, and 877^2 more do not
+        assert rows == [1, 2, 5, 15, 52, 203, 877]
+
+    def test_valuation_budget_names_its_flag(self, capsys):
+        argv = ["decide", "--formula", "p", "--n", "1", "--mode", "sat",
+                "--max-worlds", "2", "--max-assignments", "1"]
+        assert run(capsys, argv) == (
+            1, "", "error: frame validity needs 2^1 valuations, over budget 1; "
+            "raise --max-assignments (max_assignments=)\n")
 
     def test_bad_class_flag(self, capsys):
         code, _, err = run(

@@ -118,6 +118,10 @@ class TestEnumerateFrames:
         built.clear()
         list(enumerate_frames(2, 4, "ed", connected_only=True))
         assert len(built) == orbits
+        # six worlds, the decide benchmark's T anchor: 437 orbits, 192 connected
+        built.clear()
+        yielded = len(list(enumerate_frames(2, 6, "e", connected_only=True)))
+        assert (len(built), yielded) == (437, 192)
 
     def test_bad_class(self):
         with pytest.raises(ValueError):

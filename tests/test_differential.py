@@ -88,6 +88,7 @@ from helpers import (
     classes_by_scan,
     components_by_pair_scan,
     countermodel_by_valuation,
+    enumerate_frames_by_marking,
     enumerate_frames_pairwise,
     equivalence_by_pairs,
     expand_s_by_recursion,
@@ -276,6 +277,16 @@ def test_enumerate_frames_matches_pairwise_search():
     for n, k, klass, connected in cases:
         got = list(enumerate_frames(n, k, klass, connected_only=connected))
         assert got == list(enumerate_frames_pairwise(n, k, klass, connected_only=connected))
+
+
+@pytest.mark.parametrize("klass", CLASS_NAMES)
+def test_enumerate_frames_matches_digit_marking(klass):
+    # (2, 6) reaches six worlds, the bound of the decide benchmark's T anchor,
+    # which the pairwise search above is too slow to reach
+    for n, k in ((1, 8), (2, 6), (3, 4), (4, 3)):
+        for connected in (False, True):
+            got = list(enumerate_frames(n, k, klass, connected_only=connected))
+            assert got == list(enumerate_frames_by_marking(n, k, klass, connected_only=connected))
 
 
 def outcome(fn, *args, **kwargs):

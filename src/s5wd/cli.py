@@ -11,6 +11,7 @@ and failed validations.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -70,7 +71,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        text = handle.read()
+    # a decoded document is a tree, so the cycle collector, which would rescan
+    # every list decoded so far, is paused while it is built
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_frame_or_model(path: str):
@@ -382,6 +392,17 @@ def _cmd_broadcast_simulate(args) -> int:
     return code
 
 
+def _at_least_one(text: str) -> int:
+    """An int flag value that is a bound, so 0 and below are refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 _FORMULA = ("--formula", {"required": True})
 _MODEL = ("--model", {"required": True})
@@ -408,7 +429,7 @@ COMMANDS = (
     ("iso", _cmd_iso, "search for an isomorphism between two frames or models", (
         ("--left", {"required": True}),
         ("--right", {"required": True}),
-        ("--max-worlds", {"type": int, "default": 12}),
+        ("--max-worlds", {"type": _at_least_one, "default": 12}),
     )),
     ("pmorph", _cmd_pmorph, "check that a world map is a p-morphism", (
         ("--map", {"required": True}),
@@ -433,8 +454,8 @@ COMMANDS = (
         ("--mode", {"choices": ("sat", "valid"), "required": True}),
         ("--max-worlds", {"type": int, "required": True}),
         ("--class", {"dest": "klass", "choices": CLASS_NAMES, "default": "ed"}),
-        ("--max-assignments", {"type": int, "default": 2**20}),
-        ("--frame-budget", {"type": int, "default": 50_000}),
+        ("--max-assignments", {"type": _at_least_one, "default": 2**20}),
+        ("--frame-budget", {"type": _at_least_one, "default": 50_000}),
     )),
     ("broadcast", None, "broadcast environment commands", (
         ("simulate", _cmd_broadcast_simulate, "generate and verify a trace frame", (
@@ -444,7 +465,7 @@ COMMANDS = (
             ("--depth", {"type": int, "required": True}),
             ("--verify", {"choices": ("hypercube", "full"), "default": None}),
             ("--emit-frame", {"default": None}),
-            ("--max-worlds", {"type": int, "default": 20_000}),
+            ("--max-worlds", {"type": _at_least_one, "default": 20_000}),
         )),
     )),
 )
@@ -501,7 +522,7 @@ def _read_plain(argv):
             return None
         try:
             value = kwargs.get("type", str)(value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             return None
         if value not in kwargs.get("choices", (value,)):
             return None

@@ -234,8 +234,10 @@ def decide_satisfiability(
     "unsatisfiable" when the exhausted bound covers the finite-model
     property, else "unknown".
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
+    for name, bound in (("max_worlds", max_worlds), ("frame_budget", frame_budget),
+                        ("max_assignments", max_assignments)):
+        if bound < 1:
+            raise ValueError(f"{name} must be at least 1")
     target = _compile(Not(f))
     for kind, agent, *_ in map(target.__getitem__, _preorder(target)):
         if kind in (Box, Diamond) and not 1 <= agent <= n:

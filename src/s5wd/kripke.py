@@ -658,11 +658,28 @@ def _initial_color(x: Union[Frame, Model], pred: list, w) -> tuple:
 
 
 def _predecessors(fr: Frame) -> list:
-    pred = [{w: set() for w in fr.worlds} for _ in range(fr.n)]
-    for i, table in enumerate(fr._succ):
+    """Per agent, a dict from each world to its predecessor frozenset; equal
+    sets, the frame's successor sets among them, are one object."""
+    shared = {s: s for table in fr._succ for s in table.values()}
+    made: dict = {}  # union of a tuple of source sets -> its shared frozenset
+    pred = []
+    for table in fr._succ:
+        # the worlds that share a successor set are predecessors of each member
+        sources: dict = {}
         for w, s in table.items():
+            sources.setdefault(s, []).append(w)
+        into: dict = {w: [] for w in fr.worlds}
+        for s, ws in sources.items():
+            ws = frozenset(ws)
             for u in s:
-                pred[i][u].add(w)
+                into[u].append(ws)
+        for u, parts in into.items():
+            parts = tuple(parts)
+            if parts not in made:
+                p = frozenset().union(*parts)
+                made[parts] = shared.setdefault(p, p)
+            into[u] = made[parts]
+        pred.append(into)
     return pred
 
 
@@ -672,9 +689,9 @@ def find_isomorphism(
     """A structure-preserving bijection from a to b, or None.
 
     Model arguments must agree on atoms world by world.  Uses joint color
-    refinement, then backtracking with forward checking, trying the most
-    constrained world first.  Raises BudgetError when either side has more
-    than max_worlds worlds.
+    refinement, then backtracking with forward checking over cells of
+    a-worlds that share one domain, trying the most constrained world first.
+    Raises BudgetError when either side has more than max_worlds worlds.
     """
     if isinstance(a, Model) != isinstance(b, Model):
         raise ValueError("cannot compare a Frame with a Model")
@@ -690,84 +707,93 @@ def find_isomorphism(
         return None
 
     pred_a, pred_b = _predecessors(fa), _predecessors(fb)
-    sides = {"a": (fa, pred_a, a), "b": (fb, pred_b, b)}
-    tagged = [("a", w) for w in fa.worlds] + [("b", w) for w in fb.worlds]
-    signatures = {(t, w): _initial_color(sides[t][2], sides[t][1], w) for t, w in tagged}
-    colors: dict = {}
+    sides = ((fa, pred_a, a), (fb, pred_b, b))
+    signatures = [{w: _initial_color(x, pred, w) for w in fr.worlds} for fr, pred, x in sides]
+    count = 0
     while True:
         # refine until a round splits no color
-        palette = {sig: k for k, sig in enumerate(sorted(set(signatures.values())))}
-        stable = len(palette) == len(set(colors.values()))
-        colors = {tw: palette[sig] for tw, sig in signatures.items()}
-        if stable:
+        palette = sorted({sig for side in signatures for sig in side.values()})
+        palette = {sig: k for k, sig in enumerate(palette)}
+        colors = [{w: palette[sig] for w, sig in side.items()} for side in signatures]
+        if len(palette) == count:
             break
-        for tag, w in tagged:
-            fr, pred, _ = sides[tag]
-            signatures[(tag, w)] = (
-                colors[(tag, w)],
-                tuple(
-                    tuple(sorted(colors[(tag, v)] for v in fr._succ[i][w]))
-                    for i in range(fr.n)
-                ),
-                tuple(
-                    tuple(sorted(colors[(tag, v)] for v in pred[i][w]))
-                    for i in range(fr.n)
-                ),
-            )
+        count = len(palette)
+        for (fr, pred, _), color, side in zip(sides, colors, signatures):
+            # each distinct neighbour set is sorted once per round
+            seen: dict = {}
+            for table in (*fr._succ, *pred):
+                for s in table.values():
+                    if s not in seen:
+                        seen[s] = tuple(sorted(map(color.__getitem__, s)))
+            for w in fr.worlds:
+                side[w] = (
+                    color[w],
+                    tuple(seen[table[w]] for table in fr._succ),
+                    tuple(seen[table[w]] for table in pred),
+                )
 
-    buckets: dict = {"a": {}, "b": {}}
-    for (tag, w), c in colors.items():
-        buckets[tag].setdefault(c, []).append(w)
-    sizes = [{c: len(ws) for c, ws in buckets[tag].items()} for tag in "ab"]
+    buckets: list = [{}, {}]
+    for bucket, color in zip(buckets, colors):
+        for w, c in color.items():
+            bucket.setdefault(c, []).append(w)
+    sizes = [{c: len(ws) for c, ws in bucket.items()} for bucket in buckets]
     if sizes[0] != sizes[1]:
         return None
 
-    # worlds are indices into fa.worlds and fb.worlds; sets of b worlds are
-    # int masks, bit k standing for fb.worlds[k]
+    # worlds are indices into fa.worlds and fb.worlds; sets of worlds are
+    # int masks, bit k standing for the k-th world
     sa, pa = _mask_tables(fa, fa._succ), _mask_tables(fa, pred_a)
     sb, pb = _mask_tables(fb, fb._succ), _mask_tables(fb, pred_b)
 
     def loops(tables: list, k: int) -> tuple:
         return tuple(table[k] >> k & 1 for table in tables)
 
-    # a world may map to the b worlds of its color with its self-loops
-    same_color = {c: _mask(fb._index, ws) for c, ws in buckets["b"].items()}
+    # a world may map to the b worlds of its color with its self-loops; a
+    # cell (a-mask, b-mask) holds a-worlds that share one domain, the b-mask
     same_loops: dict = {}
     for t in range(len(fb.worlds)):
         same_loops[loops(sb, t)] = same_loops.get(loops(sb, t), 0) | 1 << t
-    domains = {}
+    groups: dict = {}
     for k, w in enumerate(fa.worlds):
-        domains[k] = same_color[colors[("a", w)]] & same_loops.get(loops(sa, k), 0)
-        if not domains[k]:
+        key = (colors[0][w], loops(sa, k))
+        groups[key] = groups.get(key, 0) | 1 << k
+    cells = []
+    for (c, loop), members in groups.items():
+        images = _mask(fb._index, buckets[1][c]) & same_loops.get(loop, 0)
+        if not images:
             return None
+        cells.append((members, images))
 
-    def narrow(rest: dict, w: int, v: int) -> Optional[dict]:
+    def narrow(cells: list, w: int, v: int) -> Optional[list]:
         # forward checking: u may map to t only if u relates to w, both ways
-        # and under every agent, as t relates to v; a test equal to one
-        # already listed (symmetric relations, equal agents) is dropped
+        # and under every agent, as t relates to v, so each test splits a
+        # cell in two; a test equal to one already listed (symmetric
+        # relations, equal agents) is dropped
         tests: list = []
         for i in range(fa.n):
-            for x, y in ((sa[i][w], sb[i][v]), (pa[i][w], pb[i][v])):
-                if (x, y, ~y) not in tests:
-                    tests.append((x, y, ~y))
-        clear = ~(1 << v)
-        out = {}
-        for u, dom in rest.items():
-            dom &= clear
-            for x, y, not_y in tests:
-                dom &= y if x >> u & 1 else not_y
-            if not dom:
-                return None
-            out[u] = dom
-        return out
+            for test in ((sa[i][w], sb[i][v]), (pa[i][w], pb[i][v])):
+                if test not in tests:
+                    tests.append(test)
+        cells = [(members & ~(1 << w), images & ~(1 << v)) for members, images in cells]
+        for x, y in tests:
+            split = []
+            for members, images in cells:
+                for part, image in ((members & x, images & y), (members & ~x, images & ~y)):
+                    # more worlds than images: no bijection below this node
+                    if part.bit_count() > image.bit_count():
+                        return None
+                    if part:
+                        split.append((part, image))
+            cells = split
+        return cells
 
     # backtracking on an explicit stack, so depth is not bounded by the
-    # recursion limit; entries are [world, image, untried images, domains of
-    # the other worlds unassigned before it], deepest last
+    # recursion limit; entries are [world, image, untried images, cells
+    # before it was assigned], deepest last
     stack: list = []
-    while domains:
-        w = min(domains, key=lambda u: (domains[u].bit_count(), u))
-        stack.append([w, None, domains.pop(w), domains])
+    while cells:
+        members, images = min(cells, key=lambda cell: (cell[1].bit_count(), cell[0] & -cell[0]))
+        stack.append([_lowest(members), None, images, cells])
         while True:
             if not stack:
                 return None
@@ -782,7 +808,7 @@ def find_isomorphism(
                 stack.pop()
                 continue
             entry[1], entry[2] = v, untried
-            domains = narrowed
+            cells = narrowed
             break
     return WorldMap(a, b, {fa.worlds[w]: fb.worlds[v] for w, v, _, _ in stack})
 
@@ -798,8 +824,14 @@ def _lowest(mask: int) -> int:
 
 
 def _mask_tables(fr: Frame, tables) -> list:
-    """Per agent, the mask of tables[i][w] for each world w in world order."""
-    return [[_mask(fr._index, table[w]) for w in fr.worlds] for table in tables]
+    """Per agent, the mask of tables[i][w] for each world w in world order;
+    each distinct set is masked once."""
+    masks: dict = {}
+    for table in tables:
+        for s in table.values():
+            if s not in masks:
+                masks[s] = _mask(fr._index, s)
+    return [[masks[table[w]] for w in fr.worlds] for table in tables]
 
 
 def check_p_morphism(wm: WorldMap) -> MorphismReport:
@@ -850,13 +882,15 @@ def check_model_p_morphism(wm: WorldMap) -> MorphismReport:
 def frame_to_json(fr: Frame) -> dict:
     """JSON-ready dict; worlds and relation pairs follow frame world order."""
     keys = [world_key(w) for w in fr.worlds]
-    rels = {}
-    for i, table in enumerate(fr._succ, 1):
-        rels[str(i)] = [
-            [keys[k], keys[j]]
-            for k, w in enumerate(fr.worlds)
-            for j in sorted(map(fr._index.__getitem__, table[w]))
-        ]
+    texts: dict = {}  # each distinct successor set's keys, in world order
+    for table in fr._succ:
+        for s in table.values():
+            if s not in texts:
+                texts[s] = [keys[j] for j in sorted(map(fr._index.__getitem__, s))]
+    rels = {
+        str(i): [[key, u] for key, w in zip(keys, fr.worlds) for u in texts[table[w]]]
+        for i, table in enumerate(fr._succ, 1)
+    }
     return {"n": fr.n, "worlds": keys, "relations": rels}
 
 

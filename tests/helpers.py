@@ -51,7 +51,6 @@ from s5wd.kripke import (
     _check_nodes,
     _compile,
     _initial_color,
-    _predecessors,
     check_equivalence,
     component_members,
     equivalence_classes,
@@ -297,10 +296,11 @@ def assert_isomorphism(wm: WorldMap) -> None:
     tgt = frame_of(wm.target)
     images = [wm(w) for w in src.worlds]
     assert len(set(images)) == len(src.worlds) == len(tgt.worlds)
+    # a bijection preserves relations both ways iff it maps each successor
+    # set onto the image's successor set
     for i in src.agents:
         for w in src.worlds:
-            for u in src.worlds:
-                assert (u in src.succ(i, w)) == (wm(u) in tgt.succ(i, wm(w)))
+            assert {wm(u) for u in src.succ(i, w)} == tgt.succ(i, wm(w))
     if isinstance(wm.source, Model):
         for w in src.worlds:
             assert wm.source.atoms_at(w) == wm.target.atoms_at(wm(w))
@@ -1006,6 +1006,17 @@ def with_agent_relation(fil, i: int, pairs) -> Filtration:
     )
 
 
+def predecessors_by_pairs(fr: Frame) -> list:
+    """Per agent, a dict from each world to the set of worlds that relate to
+    it, one set per world, built pair by pair."""
+    pred = [{w: set() for w in fr.worlds} for _ in range(fr.n)]
+    for i, table in enumerate(fr._succ):
+        for w, s in table.items():
+            for u in s:
+                pred[i][u].add(w)
+    return pred
+
+
 def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):
     """find_isomorphism with list domains filtered pair by pair and a
     recursive search, one Python frame per assigned world."""
@@ -1022,7 +1033,7 @@ def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):
     if len(fa.worlds) != len(fb.worlds):
         return None
 
-    pred_a, pred_b = _predecessors(fa), _predecessors(fb)
+    pred_a, pred_b = predecessors_by_pairs(fa), predecessors_by_pairs(fb)
     tagged = [("a", w) for w in fa.worlds] + [("b", w) for w in fb.worlds]
 
     def side(tag):

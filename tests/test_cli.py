@@ -1,5 +1,6 @@
 """Command line interface: dispatch, formats, exit codes, determinism."""
 
+import gc
 import json
 import os
 import random
@@ -652,6 +653,12 @@ class TestDecide:
             1, "", "error: frame validity needs 2^1 valuations, over budget 1; "
             "raise --max-assignments (max_assignments=)\n")
 
+    def test_library_refuses_bounds_below_one(self):
+        for name, bound in (("frame_budget", 0), ("max_assignments", -1)):
+            for runner in (decide.decide_satisfiability, decide.decide_validity):
+                with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+                    runner(parse("p", 1), 1, 2, **{name: bound})
+
     def test_bad_class_flag(self, capsys):
         code, _, err = run(
             capsys,
@@ -946,6 +953,48 @@ class TestBroadcast:
         assert len(built) == 1
 
 
+DECIDE_P = ["decide", "--formula", "p", "--n", "2", "--mode", "sat", "--max-worlds", "3"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (DECIDE_P + ["--frame-budget", "-5"], "--frame-budget", -5),
+    (DECIDE_P + ["--max-assignments", "0"], "--max-assignments", 0),
+    (["iso", "--left", "a.json", "--right", "b.json", "--max-worlds", "-3"], "--max-worlds", -3),
+    (["broadcast", "simulate", "--card-game", "deck=2,hand=1", "--depth", "1",
+      "--max-worlds", "-2"], "--max-worlds", -2),
+], ids=["frame-budget", "max-assignments", "iso-max-worlds", "simulate-max-worlds"])
+def test_bound_below_one_names_its_flag(capsys, argv, flag, value):
+    # refused as a setting out of range, not reported as an exceeded budget
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: s5wd {argv[0]} ")
+    assert err.endswith(f"\nerror: argument {flag}: must be at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_json_decoded_with_the_collector_paused(capsys, monkeypatch, corner_files, tmp_path,
+                                                enabled):
+    # the collector is off while a document is decoded and comes back as the
+    # caller had it, after a malformed document too
+    states = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: states.append(gc.isenabled()) or loads(text))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(capsys, ["frame-props", "--frame", corner_files[1]])[0] == 0
+        assert gc.isenabled() == enabled
+        assert run(capsys, ["frame-props", "--frame", str(bad)]) == (
+            1, "", "error: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n")
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert states == [False, False]
+
+
 @pytest.mark.parametrize("argv", [
     ["frame-props", "--frame", "{doc}"],
     ["decide", "--formula", "p", "--n", "100000", "--mode", "sat", "--max-worlds", "1"],
@@ -1025,7 +1074,7 @@ def sweep_line(rng: random.Random, path: list) -> list:
     def value(kwargs):
         if "choices" in kwargs:
             return rng.choice(kwargs["choices"])
-        if kwargs.get("type") is int:
+        if "type" in kwargs:  # int, or a bound of at least 1
             return rng.choice(["1", "2"])
         return rng.choice(["p", "deck=2,hand=1", "missing.json", "out.json", ""])
 

@@ -609,15 +609,10 @@ def cycles(n: int, lengths) -> Frame:
     return Frame(n, worlds, [pairs] * n)
 
 
-def rewired_pair(rng: random.Random, n: int) -> tuple:
-    """A frame where each world has the same number of successors, and a
-    copy with a few edges swapped (x->y, u->v become x->v, u->y): degrees are
-    kept, so refinement often cannot tell them apart whether or not they are
-    isomorphic."""
-    worlds = [f"w{k}" for k in range(rng.randint(4, 8))]
-    degree = rng.randint(1, 3)
-    rels = [{(w, u) for w in worlds for u in rng.sample([x for x in worlds if x != w], degree)}
-            for _ in range(n)]
+def rewired(rng: random.Random, rels) -> list:
+    """Each relation with a few edges swapped (x->y, u->v become x->v, u->y):
+    every world keeps its in- and out-degrees, so refinement often cannot
+    tell the result from the original whether or not they are isomorphic."""
     swapped = []
     for rel in rels:
         rel = set(rel)
@@ -626,7 +621,31 @@ def rewired_pair(rng: random.Random, n: int) -> tuple:
             if len({x, y, u, v}) == 4 and (x, v) not in rel and (u, y) not in rel:
                 rel = rel - {(x, y), (u, v)} | {(x, v), (u, y)}
         swapped.append(rel)
-    return Frame(n, worlds, rels), Frame(n, worlds, swapped)
+    return swapped
+
+
+def rewired_pair(rng: random.Random, n: int) -> tuple:
+    """A frame where each world has the same number of successors, and a
+    rewired copy."""
+    worlds = [f"w{k}" for k in range(rng.randint(4, 8))]
+    degree = rng.randint(1, 3)
+    rels = [{(w, u) for w in worlds for u in rng.sample([x for x in worlds if x != w], degree)}
+            for _ in range(n)]
+    return Frame(n, worlds, rels), Frame(n, worlds, rewired(rng, rels))
+
+
+def product_frame(rng: random.Random, n: int, sizes: tuple) -> Frame:
+    """The product of coordinates of the given sizes, its worlds in a seeded
+    order, agent i relating the worlds that agree on coordinate i (modulo
+    the coordinate count); a coordinate no agent reads makes clusters."""
+    cells = list(itertools.product(*map(range, sizes)))
+    rng.shuffle(cells)
+    worlds = ["g" + "_".join(map(str, c)) for c in cells]
+    return Frame(n, worlds, [
+        {(w, u) for w, c in zip(worlds, cells) for u, d in zip(worlds, cells)
+         if c[i % len(sizes)] == d[i % len(sizes)]}
+        for i in range(n)
+    ])
 
 
 def isomorphism_cases(rng: random.Random):
@@ -647,6 +666,33 @@ def isomorphism_cases(rng: random.Random):
     for _ in range(10):
         a, b = rewired_pair(rng, n)
         yield a, renamed_copy(rng, b)
+
+
+def product_isomorphism_cases(rng: random.Random):
+    """Grids and products of up to 40 worlds, where the search's domains are
+    few and large: renamed copies of a frame and of a model with atoms, a
+    rewired copy of that model, and a rewired copy of a product of at most
+    16 worlds (larger ones take the list search seconds)."""
+    n = rng.choice((2, 3))
+    a = product_frame(rng, n, rng.choice(((4, 5), (5, 8), (6, 6), (2, 3, 5), (3, 3, 4), (2, 4, 5))))
+    yield a, renamed_copy(rng, a)
+    m = random_model(rng, a, rng.choice((["p"], ["p", "q"])))
+    yield m, renamed_copy(rng, m)
+    b = Frame(n, a.worlds, rewired(rng, a.relations))
+    yield m, renamed_copy(rng, Model(b, dict(m.valuation)))
+    a = product_frame(rng, n, rng.choice(((3, 4), (2, 6), (2, 2, 3), (4, 4), (2, 7))))
+    yield a, renamed_copy(rng, Frame(n, a.worlds, rewired(rng, a.relations)))
+
+
+def test_find_isomorphism_matches_list_search_on_products():
+    outcomes = []
+    for seed in SEEDS[:30]:
+        for a, b in product_isomorphism_cases(random.Random(seed)):
+            got = outcome(find_isomorphism, a, b, max_worlds=40)
+            assert got == outcome(find_isomorphism_by_lists, a, b, max_worlds=40)
+            outcomes.append(type(got).__name__)
+    assert outcomes.count("WorldMap") > 60
+    assert outcomes.count("NoneType") > 40
 
 
 def test_find_isomorphism_matches_list_search():

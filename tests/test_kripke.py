@@ -497,6 +497,19 @@ class TestIsomorphism:
             sys.setrecursionlimit(limit)
         assert_isomorphism(wm)
 
+    def test_renamed_40_by_40_hypercube(self):
+        # color refinement leaves all 1,600 worlds alike; the search's domains
+        # stay a few cells of rows and columns, which it narrows as wholes
+        rng = random.Random(40)
+        cells = [(x, y) for x in range(40) for y in range(40)]
+        rng.shuffle(cells)
+        left = frame_from_labels(2, cells, lambda i, c: c[i - 1])
+        rng.shuffle(cells)
+        cell = {f"v{k}": c for k, c in zip(rng.sample(range(1600), 1600), cells)}
+        right = frame_from_labels(2, cell, lambda i, v: cell[v][i - 1])
+        wm = find_isomorphism(left, right, max_worlds=1600)
+        assert_isomorphism(wm)
+
 
 class TestPMorphism:
     def test_identity_map(self):

@@ -62,6 +62,10 @@ from .systems import (
 from .unpack import unpack_to_edi
 
 
+# every JSON text written is a tree, so the encoder need not look for cycles
+_JSON = {"sort_keys": True, "check_circular": False}
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1; exit 2 is reserved for unknown verdicts
     def error(self, message):
@@ -71,16 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    # a decoded document is a tree, so the cycle collector, which would rescan
-    # every list decoded so far, is paused while it is built
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    finally:
-        if enabled:
-            gc.enable()
+        return json.loads(handle.read())
 
 
 def _load_frame_or_model(path: str):
@@ -92,7 +87,7 @@ def _load_frame_or_model(path: str):
 
 def _emit(args, data: dict, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data, indent=2, **_JSON))
     else:
         for line in text_lines:
             print(line)
@@ -241,7 +236,7 @@ def _cmd_f_map(args) -> int:
         doc = model_to_json(f_map_interpreted(interpreted_from_json(data)))
     else:
         doc = frame_to_json(f_map(system_from_json(data)))
-    _emit(args, doc, [json.dumps(doc, sort_keys=True)])
+    _emit(args, doc, [json.dumps(doc, **_JSON)])
     return 0
 
 
@@ -253,7 +248,7 @@ def _cmd_from_frame(args) -> int:
         system, wm = frame_to_hypercube(fr)
     data = {"system": system_to_json(system)}
     data.update(world_map_to_json(wm))
-    _emit(args, data, [json.dumps(data, sort_keys=True)])
+    _emit(args, data, [json.dumps(data, **_JSON)])
     return 0
 
 
@@ -267,7 +262,7 @@ def _cmd_unpack(args) -> int:
         data,
         [
             f"worlds: {len(unpacked.worlds)}",
-            json.dumps(data, sort_keys=True),
+            json.dumps(data, **_JSON),
         ],
     )
     return 0
@@ -287,7 +282,7 @@ def _cmd_filtrate(args) -> int:
         [
             f"closure size: {len(fil.closure)}",
             f"quotient worlds: {len(fil.quotient.frame.worlds)}",
-            json.dumps(data, sort_keys=True),
+            json.dumps(data, **_JSON),
         ],
     )
     return 0
@@ -315,7 +310,7 @@ def _cmd_decide(args) -> int:
         data["witness_world"] = world_key(verdict.witness_world)
         data["witness_model"] = model_to_json(verdict.witness_model)
         lines.append(f"witness world: {data['witness_world']}")
-        lines.append(json.dumps(data["witness_model"], sort_keys=True))
+        lines.append(json.dumps(data["witness_model"], **_JSON))
     _emit(args, data, lines)
     return 0 if verdict.decided else 2
 
@@ -384,7 +379,7 @@ def _cmd_broadcast_simulate(args) -> int:
     if args.emit_frame is not None:
         m = bc.derived_valuation(env, fr)
         with open(args.emit_frame, "w", encoding="utf-8") as handle:
-            json.dump(model_to_json(m), handle, indent=2, sort_keys=True)
+            json.dump(model_to_json(m), handle, indent=2, **_JSON)
             handle.write("\n")
         lines.append(f"frame written to {args.emit_frame}")
         data["emitted"] = args.emit_frame
@@ -545,11 +540,18 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+    # a command builds trees, not cycles, so the cycle collector, which would
+    # rescan every container built so far, is paused while it runs
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry_point() -> None:

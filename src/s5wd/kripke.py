@@ -96,7 +96,8 @@ class Frame:
     """Finite frame (W, R_1..R_n), stored as one successor table per agent.
 
     The constructor accepts relations as a length-n sequence of pair iterables
-    or as a mapping keyed by agent index (int or string).  relations[i-1]
+    or as a mapping keyed by agent index (int or decimal string, each agent
+    at most once, an absent agent relating nothing).  relations[i-1]
     gives back agent i's world pairs, built on first access.  Frames are
     immutable and equal when their n, world order and relations are.
     """
@@ -118,32 +119,20 @@ class Frame:
             vars(self).update(worlds=worlds, _index=index, _succ=rels[0], _equivalence=rels[1])
             return
         if isinstance(rels, Mapping):
-            rels = [rels.get(i, rels.get(str(i), ())) for i in range(1, self.n + 1)]
+            rels = _by_agent(rels, self.n)
         rels = tuple(rels)
         if len(rels) != self.n:
             raise ValueError(f"expected {self.n} relations, got {len(rels)}")
         # equal successor sets share one object, so tuples of them (the join
         # test's memo keys) compare by identity instead of element by element
         shared: dict = {}
-        succ = []
-        for i, pairs in enumerate(rels, 1):
-            table = {w: set() for w in worlds}
-            for pair in pairs:
-                try:
-                    # a string or a set would otherwise be unpacked as a pair
-                    w, u = pair if isinstance(pair, (list, tuple)) else ()
-                    known = w in index and u in index
-                except (TypeError, ValueError):
-                    bad = f"{pair!r:.80} in relation {i} is not a pair of worlds"
-                    raise ValueError(bad) from None
-                if not known:
-                    raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
-                table[w].add(u)
-            for w, v in table.items():
-                v = frozenset(v)
-                table[w] = shared.setdefault(v, v)
-            succ.append(table)
-        vars(self).update(worlds=worlds, _index=index, _succ=tuple(succ), _equivalence=None)
+        # a pair member must be of its world's type as well as equal to it, as
+        # true, false and 1.0 equal the worlds 1, 0 and 1; strings need no test
+        types = None
+        if not all(map(isinstance, worlds, itertools.repeat(str))):
+            types = dict(zip(worlds, map(type, worlds)))
+        succ = tuple(_successors(i, pairs, index, types, shared) for i, pairs in enumerate(rels, 1))
+        vars(self).update(worlds=worlds, _index=index, _succ=succ, _equivalence=None)
 
     def _frozen(self, name, *value):
         raise FrozenInstanceError(f"Frame field {name!r} is read-only")
@@ -197,6 +186,60 @@ class Frame:
     def isucc(self, w) -> frozenset:
         """Successors of w under the intersection of all relations."""
         return frozenset.intersection(*(table[w] for table in self._succ))
+
+
+def _by_agent(rels: Mapping, n: int) -> list:
+    """The relations of a mapping keyed by agent, in agent order; a key is an
+    agent 1..n as an int or as its decimal string, and names its agent once."""
+    names = {str(i): i for i in range(1, n + 1)}
+    given: dict = {}
+    for key in rels:
+        i = names.get(key) if isinstance(key, str) else key if type(key) is int else None
+        if i is None or not 1 <= i <= n:
+            raise ValueError(f"relation key {key!r:.80} names no agent 1..{n}")
+        if i in given:
+            raise ValueError(f"agent {i} is keyed both as {i!r} and as {str(i)!r}")
+        given[i] = rels[key]
+    return [given.get(i, ()) for i in range(1, n + 1)]
+
+
+def _successors(i: int, pairs, index: dict, types, shared: dict) -> dict:
+    """Agent i's successor table from its world pairs, equal sets taken from
+    shared.  The pairs are checked in bulk; only when that fails are they
+    walked one by one, to report the first faulty pair."""
+    if not isinstance(pairs, (list, tuple)):
+        pairs = list(pairs)  # read once, since a fault walks them again
+    table = {w: [] for w in index}
+    try:
+        # a string or a set would otherwise be unpacked as a pair
+        fits = all(map(isinstance, pairs, itertools.repeat((list, tuple))))
+        if fits:
+            for w, u in pairs:
+                table[w].append(u)
+            for w, v in table.items():
+                v = frozenset(v)
+                table[w] = shared.setdefault(v, v)
+            fits = index.keys() >= frozenset().union(*set(table.values()))
+        if fits and types is not None:
+            members = list(itertools.chain.from_iterable(pairs))
+            fits = list(map(type, members)) == list(map(types.__getitem__, members))
+    except (KeyError, TypeError, ValueError):
+        fits = False
+    if not fits:
+        _raise_first_fault(i, pairs, index, types)
+    return table
+
+
+def _raise_first_fault(i: int, pairs, index: dict, types) -> None:
+    """Raise the ValueError for the first pair that is no pair of worlds."""
+    for pair in pairs:
+        try:
+            w, u = pair if isinstance(pair, (list, tuple)) else ()
+            known = w in index and u in index
+        except (TypeError, ValueError):
+            raise ValueError(f"{pair!r:.80} in relation {i} is not a pair of worlds") from None
+        if not known or types is not None and (type(w), type(u)) != (types[w], types[u]):
+            raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
 
 
 @dataclass(frozen=True)
@@ -928,9 +971,10 @@ def _block_labels(worlds: tuple, blocks) -> dict:
     for w in worlds:
         if w not in label:
             raise ValueError(f"world {w!r} is missing from the partition")
-    known = set(worlds)
+    # a block member must be of its world's type too, as a relation pair's is
+    types = dict(zip(worlds, map(type, worlds)))
     for w in label:
-        if w not in known:
+        if types.get(w) is not type(w):
             raise ValueError(f"partition block names an unknown world {w!r}")
     return label
 

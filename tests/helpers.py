@@ -167,6 +167,31 @@ def random_frame(rng: random.Random, n: int, size: int, density: float = 0.4) ->
     return Frame(n, worlds, rels)
 
 
+def successor_tables_by_pair_loop(worlds: list, rels) -> tuple:
+    """Frame's successor tables built one pair at a time, each pair checked
+    before it is added, equal sets one object; a faulty pair raises the
+    ValueError Frame raises for the first one."""
+    index = {w: k for k, w in enumerate(worlds)}
+    shared: dict = {}
+    succ = []
+    for i, pairs in enumerate(rels, 1):
+        table = {w: set() for w in worlds}
+        for pair in pairs:
+            try:
+                w, u = pair if isinstance(pair, (list, tuple)) else ()
+                known = w in index and u in index
+            except (TypeError, ValueError):
+                raise ValueError(f"{pair!r:.80} in relation {i} is not a pair of worlds") from None
+            if not known:
+                raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
+            table[w].add(u)
+        for w, v in table.items():
+            v = frozenset(v)
+            table[w] = shared.setdefault(v, v)
+        succ.append(table)
+    return tuple(succ)
+
+
 def equivalence_by_pairs(fr: Frame) -> bool:
     """Reflexivity, symmetry and transitivity read off the pair sets."""
     for rel in fr.relations:

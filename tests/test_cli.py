@@ -24,7 +24,8 @@ from s5wd.kripke import (
     world_map_from_json,
 )
 from s5wd.formula import parse
-from helpers import missing_corner_model
+from s5wd.systems import system_to_json
+from helpers import missing_corner_model, random_hypercube
 
 
 def run(capsys, argv):
@@ -226,6 +227,15 @@ MALFORMED = [
     ({"partitions": {"1": [["a"]], "3": [["a"]]}}, "key '3' in 'partitions' names no agent 1..1"),
     ({"partitions": {" 1": [["a"]]}}, "key ' 1' in 'partitions' names no agent 1..1"),
     ({"worlds": [1, True], "relations": {}}, "worlds 1 and True in 'worlds' are equal"),
+    # true, false and 1.0 equal the worlds 1, 0 and 1 but are none of them
+    ({"worlds": [1], "relations": {"1": [[True, 1]]}},
+     "relation pair (True, 1) references an unknown world"),
+    ({"worlds": [1], "relations": {"1": [[1.0, 1]]}},
+     "relation pair (1.0, 1) references an unknown world"),
+    ({"worlds": [0], "relations": {"1": [[False, 0]]}},
+     "relation pair (False, 0) references an unknown world"),
+    ({"worlds": [1], "partitions": {"1": [[True]]}},
+     "partition block names an unknown world True"),
 ]
 
 
@@ -972,27 +982,80 @@ def test_bound_below_one_names_its_flag(capsys, argv, flag, value):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_json_decoded_with_the_collector_paused(capsys, monkeypatch, corner_files, tmp_path,
+def test_commands_run_with_the_collector_paused(capsys, monkeypatch, corner_files, tmp_path,
                                                 enabled):
-    # the collector is off while a document is decoded and comes back as the
-    # caller had it, after a malformed document too
+    # the collector is off while a command decodes its documents and builds
+    # its frames, and comes back as the caller had it however the command ends
     states = []
     loads = json.loads
     monkeypatch.setattr(cli.json, "loads", lambda text: states.append(gc.isenabled()) or loads(text))
+    post_init = kripke.Frame.__post_init__
+    monkeypatch.setattr(kripke.Frame, "__post_init__",
+                        lambda fr: states.append(gc.isenabled()) or post_init(fr))
     bad = tmp_path / "bad.json"
     bad.write_text("{")
+    unknown = ["decide", "--formula", "[1]p -> p", "--n", "1", "--mode", "valid",
+               "--max-worlds", "4"]
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
         assert run(capsys, ["frame-props", "--frame", corner_files[1]])[0] == 0
         assert gc.isenabled() == enabled
+        assert states[:2] == [False, False]
         assert run(capsys, ["frame-props", "--frame", str(bad)]) == (
             1, "", "error: Expecting property name enclosed in double quotes: "
             "line 1 column 2 (char 1)\n")
         assert gc.isenabled() == enabled
+        assert run(capsys, unknown)[0] == 2
+        assert gc.isenabled() == enabled
+        assert run(capsys, ["frame-props"])[0] == 1
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(cli, "check_d", lambda fr: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            main(["frame-props", "--frame", corner_files[1]])
+        assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert states == [False, False]
+    assert len(states) > 3 and not any(states)
+
+
+def unreachable_after(fn) -> int:
+    """The objects that gc.collect() finds unreachable after fn(), with the
+    collector kept off from a collected heap until then."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_commands_leave_no_cycles(capsys, corner_files, tmp_path):
+    # so pausing the collector for a whole command leaves nothing for it; only
+    # json.dumps with an indent leaves its encoder's closures, whatever it writes
+    model_path, frame_path = corner_files
+    system_path = tmp_path / "s.json"
+    system_path.write_text(json.dumps(system_to_json(random_hypercube(random.Random(1), 2))))
+    emitted = str(tmp_path / "e.json")
+    game = ["broadcast", "simulate", "--card-game", "deck=3,hand=1", "--depth", "2"]
+    quiet = [
+        ["frame-props", "--frame", frame_path],
+        ["f-map", "--system", str(system_path)],
+        ["iso", "--left", frame_path, "--right", frame_path],
+        ["filtrate", "--model", model_path, "--formula", "<1>p -> [2]p"],
+        ["decide", "--formula", "[1]p -> p", "--n", "2", "--mode", "valid", "--max-worlds", "4",
+         "--class", "e"],
+        game + ["--verify", "hypercube"],
+    ]
+    for argv in quiet:
+        assert unreachable_after(lambda: run(capsys, argv)) == 0, argv
+    indented = unreachable_after(lambda: json.dumps({"a": [1, {"b": 2}]}, indent=2, **cli._JSON))
+    assert indented > 0
+    for argv in (["f-map", "--system", str(system_path), "--format", "json"],
+                 game + ["--emit-frame", emitted]):
+        assert unreachable_after(lambda: run(capsys, argv)) == indented, argv
 
 
 @pytest.mark.parametrize("argv", [

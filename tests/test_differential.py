@@ -3,6 +3,7 @@ random inputs.  World order is shuffled where the output has an order (classes
 and components come out in first-world order), so order is part of the
 comparison; frame sequences and countermodel witnesses must be identical."""
 
+import collections
 import dataclasses
 import itertools
 import random
@@ -125,6 +126,7 @@ from helpers import (
     split_pair_model,
     subformula_closure_by_recursion,
     subformulas_by_recursion,
+    successor_tables_by_pair_loop,
     tokenize_by_chars,
     two_block_model,
     union_by_pairs,
@@ -182,6 +184,98 @@ def test_frame_from_partitions_matches_block_pairs():
         assert_same_frame(got, expected)
         for data in json_forms(expected, parts):
             assert_same_frame(frame_from_json(data), expected)
+
+
+WorldPair = collections.namedtuple("WorldPair", "w u")
+
+# the ways a relation's pairs may be given; a generator is read only once
+RELATION_FORMS = (list, tuple, iter, lambda pairs: (p for p in pairs))
+
+
+def random_worlds(rng: random.Random) -> list:
+    size = rng.randint(1, 7)
+    worlds = rng.choice([[f"w{k}" for k in range(size)], list(range(size)),
+                         [(k, "x") for k in range(size)]])
+    rng.shuffle(worlds)
+    return worlds
+
+
+def random_world_pairs(rng: random.Random, worlds: list) -> list:
+    """A relation on worlds in shuffled order with some pairs repeated, each
+    pair a list, a tuple or a named tuple."""
+    pairs = [(w, u) for w in worlds for u in worlds if rng.random() < 0.4]
+    pairs += rng.choices(pairs, k=len(pairs) // 3) if pairs else []
+    rng.shuffle(pairs)
+    return [rng.choice((list, tuple, WorldPair._make))(p) for p in pairs]
+
+
+def random_pair_fault(rng: random.Random, worlds: list) -> tuple:
+    """(kind, value): a member of a relation that is no pair of its worlds."""
+    w = rng.choice(worlds)
+    return rng.choice([
+        ("string", "ab"),
+        ("set", frozenset({w})),
+        ("dict", {w: w}),
+        ("three", [w, w, w]),
+        ("one", (w,)),
+        ("unhashable", [w, [w]]),
+        ("unhashable", ([w], w)),
+        ("unknown", (w, "zz")),
+        ("unknown", ["zz", w]),
+    ])
+
+
+def built(n: int, worlds: list, rels: list, forms: list):
+    """Frame's successor tables for rels, each given in its form, or the
+    text of the ValueError Frame raises."""
+    try:
+        return Frame(n, worlds, [form(pairs) for form, pairs in zip(forms, rels)])._succ
+    except ValueError as err:
+        return str(err)
+
+
+def by_pair_loop(worlds: list, rels: list, forms: list):
+    try:
+        return successor_tables_by_pair_loop(worlds, [form(p) for form, p in zip(forms, rels)])
+    except ValueError as err:
+        return str(err)
+
+
+def test_bulk_pair_checks_match_per_pair_loop():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        worlds = random_worlds(rng)
+        rels = [random_world_pairs(rng, worlds) for _ in range(n)]
+        forms = [rng.choice(RELATION_FORMS) for _ in range(n)]
+        got = built(n, worlds, rels, forms)
+        assert got == by_pair_loop(worlds, rels, forms)
+        # equal successor sets are one object
+        sets = [s for table in got for s in table.values()]
+        assert len(set(map(id, sets))) == len(set(sets))
+
+
+def test_bulk_pair_checks_report_the_first_fault():
+    kinds: dict = {}
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        worlds = random_worlds(rng)
+        rels = [random_world_pairs(rng, worlds) for _ in range(n)]
+        forms = [rng.choice(RELATION_FORMS) for _ in range(n)]
+        faults = [random_pair_fault(rng, worlds) for _ in range(rng.randint(1, 2))]
+        # both faults in one relation, or in two when there are two agents
+        targets = rng.sample(range(n), 2) if len(faults) == 2 and n > 1 and seed % 2 else [
+            rng.randrange(n)] * len(faults)
+        for (kind, value), i in zip(faults, targets):
+            rels[i].insert(rng.randint(0, len(rels[i])), value)
+        expected = by_pair_loop(worlds, rels, forms)
+        assert isinstance(expected, str)
+        assert built(n, worlds, rels, forms) == expected
+        key = "two" if len({kind for kind, _ in faults}) == 2 else faults[0][0]
+        kinds[key] = kinds.get(key, 0) + 1
+    # every kind of fault, and two faults of different kinds, occur often
+    assert len(kinds) == 8 and min(kinds.values()) > 10, kinds
 
 
 def test_classes_and_clusters_match_scan():

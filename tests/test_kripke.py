@@ -75,6 +75,36 @@ class TestFrameConstruction:
         fr = Frame(2, ["w0"], {1: [("w0", "w0")]})
         assert fr.succ(2, "w0") == frozenset()
 
+    @pytest.mark.parametrize("rels, message", [
+        ({"1": [("a", "b")], "2": [("a", "b")]}, "relation key '2' names no agent 1..1"),
+        ({1: [("a", "b")], 0: []}, "relation key 0 names no agent 1..1"),
+        ({"01": [("a", "b")]}, "relation key '01' names no agent 1..1"),
+        ({True: [("a", "b")]}, "relation key True names no agent 1..1"),
+        ({1.0: [("a", "b")]}, "relation key 1.0 names no agent 1..1"),
+        ({1: [("a", "b")], "1": []}, "agent 1 is keyed both as 1 and as '1'"),
+        ({"1": [], 1: [("a", "b")]}, "agent 1 is keyed both as 1 and as '1'"),
+    ])
+    def test_relation_key_that_names_no_agent(self, rels, message):
+        # such a key was dropped, or one of two keys for an agent was
+        with pytest.raises(ValueError) as err:
+            Frame(1, ["a", "b"], rels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("worlds, pair", [
+        ([1], (True, 1)),
+        ([1], (1, 1.0)),
+        ([0, "a"], (False, "a")),
+    ])
+    def test_pair_member_of_another_type(self, worlds, pair):
+        # true, false and 1.0 equal the worlds 1, 0 and 1 but are none of them
+        with pytest.raises(ValueError) as err:
+            Frame(1, worlds, [[pair]])
+        assert str(err.value) == f"relation pair {pair!r} references an unknown world"
+
+    def test_pair_members_of_their_worlds_types(self):
+        fr = Frame(1, [True, 1.5, "a"], [[(True, 1.5), (1.5, "a")]])
+        assert fr.succ(1, True) == {1.5} and fr.succ(1, 1.5) == {"a"}
+
     def test_unknown_world_in_pair(self):
         with pytest.raises(ValueError):
             Frame(1, ["w0"], [[("w0", "zz")]])

@@ -340,20 +340,26 @@ def action_sequence(tr) -> tuple:
     return tuple(s[0] for s in tr[1:])
 
 
+def _agent_actions(e: BroadcastEnvironment, protocol: AgentProtocol, i: int, obs) -> tuple:
+    """The action pairs protocol enables for agent i at observation obs, each
+    checked against agent i's alphabets."""
+    actions = protocol.enabled(obs)
+    for a, b in actions:
+        if not (e._knows("external_actions", i, a) and e._knows("internal_actions", i, b)):
+            raise ValueError(f"protocol action {(a, b)!r} unknown to agent {i}")
+    return actions
+
+
 def enabled_joint_actions(e: BroadcastEnvironment, p: JointProtocol, tr) -> frozenset:
     """All joint actions the protocols allow after the trace; a joint action
     is a length-(n+1) tuple of (external, internal) pairs."""
     if len(p.agents) != e.n:
         raise ValueError(f"protocol covers {len(p.agents)} agents, environment has {e.n}")
     fin = tr[-1]
-    per_agent = []
-    for i, protocol in enumerate((e._env_protocol, *p.agents)):
-        actions = protocol.enabled(observation(e, i, fin))
-        for a, b in actions:
-            if not (e._knows("external_actions", i, a) and e._knows("internal_actions", i, b)):
-                raise ValueError(f"protocol action {(a, b)!r} unknown to agent {i}")
-        per_agent.append(actions)
-    return frozenset(itertools.product(*per_agent))
+    return frozenset(itertools.product(*(
+        _agent_actions(e, protocol, i, observation(e, i, fin))
+        for i, protocol in enumerate((e._env_protocol, *p.agents))
+    )))
 
 
 def _apply(e: BroadcastEnvironment, s, joint) -> tuple:
@@ -401,12 +407,18 @@ def generate_frame(
     worlds = list(level)
     if len(worlds) > max_worlds:
         raise BudgetError(f"more than {max_worlds} traces at depth 1")
-    keys = functools.cache(_key)  # for this call only: many traces share joint actions
+    # for this call only: traces share joint actions, each keyed once, and
+    # observations, each of whose actions are asked for and checked once
+    keys = functools.cache(_key)
+    protocols = (e._env_protocol, *p.agents)
+    actions = functools.cache(lambda i, obs: _agent_actions(e, protocols[i], i, obs))
     for _ in range(depth - 1):
         nxt = []
         seen = set()
         for tr in level:
-            for joint in sorted(enabled_joint_actions(e, p, tr), key=keys):
+            ext, priv = tr[-1]
+            joints = itertools.product(*(actions(i, (ext, x)) for i, x in enumerate(priv)))
+            for joint in sorted(frozenset(joints), key=keys):
                 grown = tr + (_apply(e, tr[-1], joint),)
                 if grown not in seen:
                     seen.add(grown)
@@ -462,6 +474,16 @@ class DecompositionReport:
         return self.ok
 
 
+def _relates_exactly(table: Mapping, block: tuple) -> bool:
+    """True iff table gives every member of block the successor set block:
+    the first member's set is compared with block and the others' with that
+    set, by identity first, since equal sets are mostly one object."""
+    first = table[block[0]]
+    return len(first) == len(block) and first.issuperset(block) and all(
+        s is first or s == first for s in map(table.__getitem__, block[1:])
+    )
+
+
 def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> DecompositionReport:
     """Check that every connected component of a generated trace frame is the
     F image of a product of per-agent recall-state axes.
@@ -486,30 +508,49 @@ def verify_hypercube_decomposition(fr: Frame, *, mode: str = "hypercube") -> Dec
             )
             continue
         width = len(members[0][0][1])
-        coords = {tr: tuple(perfect_recall_state(tr, i) for i in range(width)) for tr in members}
-        axes = [list(dict.fromkeys(coords[tr][i] for tr in members)) for i in range(width)]
+        # coordinate i of a member stands for its agent-i recall state: the
+        # first state's external action and agent i's private states, read off
+        # one transpose (the members share every later action).  A state
+        # narrower than width raises what perfect_recall_state raises.
+        coords = []
+        for tr in members:
+            columns = tuple(zip(*[s[1] for s in tr]))
+            if len(columns) < width:
+                perfect_recall_state(tr, len(columns))
+            coords.append(tuple(zip(itertools.repeat(tr[0][0], width), columns)))
+
+        by_agent = tuple(zip(*coords))  # coordinate i of every member, in member order
+
+        def recall(i, c):
+            # agent i's recall state in the first member whose coordinate i is c
+            return perfect_recall_state(members[by_agent[i].index(c)], i)
+
+        axes = [list(dict.fromkeys(column)) for column in by_agent]
         axis_sizes = tuple(len(axis) for axis in axes)
         product_size = math.prod(axis_sizes)
-        realized = set(coords.values())
+        realized = set(coords)
         reason, witness = None, ()
         if mode == "hypercube" and len(realized) != product_size:
             reason = "missing-tuple"
-            witness = (next(t for t in itertools.product(*axes) if t not in realized),)
+            hole = next(t for t in itertools.product(*axes) if t not in realized)
+            witness = (tuple(itertools.starmap(recall, enumerate(hole))),)
         elif mode == "full" and (
             len(seen := {c[1:] for c in realized}) != product_size // axis_sizes[0]
         ):
             reason = "not-full"
-            ordered = (sorted(axis, key=world_key) for axis in axes[1:])
-            witness = (next(c for c in itertools.product(*ordered) if c not in seen),)
+            states = [{c: recall(i, c) for c in axes[i]} for i in range(1, width)]
+            ordered = (sorted(axis, key=lambda c, s=s: world_key(s[c]))
+                       for axis, s in zip(axes[1:], states))
+            hole = next(c for c in itertools.product(*ordered) if c not in seen)
+            witness = (tuple(s[c] for s, c in zip(states, hole)),)
         elif fr.n != width - 1:
             raise ValueError(f"agent counts differ: {fr.n} vs {width - 1}")
         # the recall map is one-to-one, and agent i relates exactly the members
         # that share coordinate i: an isomorphism onto the F image of its tuples
-        elif len(realized) < len(members) or any(
-            fr.succ(i, tr) != block
-            for i in fr.agents
-            for block in map(frozenset, _group_by(members, lambda t: coords[t][i]))
-            for tr in block
+        elif len(realized) < len(members) or not all(
+            _relates_exactly(table, block)
+            for i, table in enumerate(fr._succ, 1)
+            for block in _group_by(members, dict(zip(members, by_agent[i])).__getitem__)
         ):
             reason = "not-isomorphic"
         reports.append(

@@ -126,12 +126,12 @@ class Frame:
         # equal successor sets share one object, so tuples of them (the join
         # test's memo keys) compare by identity instead of element by element
         shared: dict = {}
-        # a pair member must be of its world's type as well as equal to it, as
-        # true, false and 1.0 equal the worlds 1, 0 and 1; strings need no test
-        types = None
+        # a pair member must name its world as well as equal it, as true, false
+        # and 1.0 equal the worlds 1, 0 and 1; strings need no test
+        own = None
         if not all(map(isinstance, worlds, itertools.repeat(str))):
-            types = dict(zip(worlds, map(type, worlds)))
-        succ = tuple(_successors(i, pairs, index, types, shared) for i, pairs in enumerate(rels, 1))
+            own = dict(zip(worlds, worlds))
+        succ = tuple(_successors(i, pairs, index, own, shared) for i, pairs in enumerate(rels, 1))
         vars(self).update(worlds=worlds, _index=index, _succ=succ, _equivalence=None)
 
     def _frozen(self, name, *value):
@@ -203,9 +203,40 @@ def _by_agent(rels: Mapping, n: int) -> list:
     return [given.get(i, ()) for i in range(1, n + 1)]
 
 
-def _successors(i: int, pairs, index: dict, types, shared: dict) -> dict:
+def _names_world(member, world) -> bool:
+    """True iff member, equal to world, names it too: it is world or has its
+    world_key text, so true names no world 1 and (true, 0) no world (1, 0)."""
+    try:
+        return member is world or world_key(member) == world_key(world)
+    except TypeError:  # world_key cannot encode it
+        return False
+
+
+# symbols, the worlds JSON gives: equal values of one of these types share a text
+_SYMBOL_TYPES = frozenset({str, int, bool, type(None)})
+
+
+def _names_worlds(members: list, own: dict) -> bool:
+    """True iff every member is a world of own, which maps each world to
+    itself, and names it, tested in bulk: members that are the worlds
+    themselves pass by identity, and, when every world is a symbol, members
+    of their worlds' types pass."""
+    try:
+        named = list(map(own.__getitem__, members))
+    except KeyError:
+        return False
+    if all(map(operator.is_, members, named)) or (
+        list(map(type, members)) == list(map(type, named))
+        and _SYMBOL_TYPES.issuperset(map(type, own))
+    ):
+        return True
+    return all(map(_names_world, members, named))
+
+
+def _successors(i: int, pairs, index: dict, own, shared: dict) -> dict:
     """Agent i's successor table from its world pairs, equal sets taken from
-    shared.  The pairs are checked in bulk; only when that fails are they
+    shared; own maps each world to itself, or is None when every world is a
+    string.  The pairs are checked in bulk; only when that fails are they
     walked one by one, to report the first faulty pair."""
     if not isinstance(pairs, (list, tuple)):
         pairs = list(pairs)  # read once, since a fault walks them again
@@ -220,17 +251,16 @@ def _successors(i: int, pairs, index: dict, types, shared: dict) -> dict:
                 v = frozenset(v)
                 table[w] = shared.setdefault(v, v)
             fits = index.keys() >= frozenset().union(*set(table.values()))
-        if fits and types is not None:
-            members = list(itertools.chain.from_iterable(pairs))
-            fits = list(map(type, members)) == list(map(types.__getitem__, members))
+        if fits and own is not None:
+            fits = _names_worlds(list(itertools.chain.from_iterable(pairs)), own)
     except (KeyError, TypeError, ValueError):
         fits = False
     if not fits:
-        _raise_first_fault(i, pairs, index, types)
+        _raise_first_fault(i, pairs, index, own)
     return table
 
 
-def _raise_first_fault(i: int, pairs, index: dict, types) -> None:
+def _raise_first_fault(i: int, pairs, index: dict, own) -> None:
     """Raise the ValueError for the first pair that is no pair of worlds."""
     for pair in pairs:
         try:
@@ -238,7 +268,9 @@ def _raise_first_fault(i: int, pairs, index: dict, types) -> None:
             known = w in index and u in index
         except (TypeError, ValueError):
             raise ValueError(f"{pair!r:.80} in relation {i} is not a pair of worlds") from None
-        if not known or types is not None and (type(w), type(u)) != (types[w], types[u]):
+        if not known or own is not None and not (
+            _names_world(w, own[w]) and _names_world(u, own[u])
+        ):
             raise ValueError(f"relation pair ({w!r}, {u!r}) references an unknown world")
 
 
@@ -971,11 +1003,11 @@ def _block_labels(worlds: tuple, blocks) -> dict:
     for w in worlds:
         if w not in label:
             raise ValueError(f"world {w!r} is missing from the partition")
-    # a block member must be of its world's type too, as a relation pair's is
-    types = dict(zip(worlds, map(type, worlds)))
-    for w in label:
-        if types.get(w) is not type(w):
-            raise ValueError(f"partition block names an unknown world {w!r}")
+    # a block member must name its world too, as a relation pair's must
+    own = dict(zip(worlds, worlds))
+    if not _names_worlds(list(label), own):
+        w = next(w for w in label if w not in own or not _names_world(w, own[w]))
+        raise ValueError(f"partition block names an unknown world {w!r}")
     return label
 
 

@@ -33,7 +33,9 @@ from s5wd.broadcast import (
     DecompositionReport,
     JointProtocol,
     action_sequence,
+    _apply,
     build_card_game,
+    enabled_joint_actions,
     generate_frame,
     perfect_recall_state,
     play_any_card_protocol,
@@ -1372,6 +1374,21 @@ def verify_hypercube_decomposition_by_exits(fr: Frame, *, mode: str = "hypercube
             continue
         reports.append(ComponentReport(members, shared, axis_sizes, True))
     return DecompositionReport(tuple(reports), all(r.ok for r in reports))
+
+
+def generate_frame_by_traces(e: BroadcastEnvironment, p: JointProtocol, depth: int) -> Frame:
+    """generate_frame with the joint actions after each trace asked of
+    enabled_joint_actions, which checks every agent's actions again."""
+    level = [(s,) for s in e.initial_states]
+    worlds = list(level)
+    for _ in range(depth - 1):
+        grown = {}
+        for tr in level:
+            for joint in sorted(enabled_joint_actions(e, p, tr), key=key_by_json_dumps):
+                grown.setdefault(tr + (_apply(e, tr[-1], joint),), None)
+        level = list(grown)
+        worlds.extend(level)
+    return frame_by_label_pairs(e.n, worlds, lambda i, tr: perfect_recall_state(tr, i))
 
 
 def pruned_card_frame() -> tuple:

@@ -520,19 +520,34 @@ class TestGenerateFrame:
             return key(value)
 
         monkeypatch.setattr(broadcast, "_key", counted)
-        sorted_joints = []
-
-        def enabled(*args):
-            joints = enabled_joint_actions(*args)
-            sorted_joints.extend(joints)
-            return joints
-
-        monkeypatch.setattr(broadcast, "enabled_joint_actions", enabled)
         fr = generate_frame(env, proto, 4)
         assert len(fr.worlds) == 468
+        counts = Counter(keyed)
+        # the joint actions enabled after each trace that was extended
+        enabled = [joint for tr in fr.worlds if len(tr) < 4
+                   for joint in enabled_joint_actions(env, proto, tr)]
         # each distinct joint action once, although traces share them
-        assert Counter(keyed) == Counter(set(sorted_joints))
-        assert len(sorted_joints) > 10 * len(keyed)
+        assert counts == Counter(set(enabled))
+        assert len(enabled) > 10 * len(counts)
+
+    def test_each_observation_checked_once(self, monkeypatch):
+        env, proto = build_card_game(4, 2)
+        calls = []
+        enabled = AgentProtocol.enabled
+
+        def counted(protocol, obs):
+            calls.append((id(protocol), obs))
+            return enabled(protocol, obs)
+
+        monkeypatch.setattr(AgentProtocol, "enabled", counted)
+        fr = generate_frame(env, proto, 4)
+        protocols = (env._env_protocol, *proto.agents)
+        extended = [tr for tr in fr.worlds if len(tr) < 4]
+        seen = {(id(protocols[i]), observation(env, i, tr[-1]))
+                for tr in extended for i in range(3)}
+        # one call per distinct (agent, observation), however many traces share it
+        assert Counter(calls) == Counter(seen)
+        assert (len(calls), 3 * len(extended)) == (157, 972)
 
     def test_small_card_game_components(self):
         env, proto = build_card_game(2, 1)
@@ -747,6 +762,15 @@ class TestVerifyDecomposition:
                 False, "not-isomorphic", (1, 1)
             )
             assert verify_hypercube_decomposition_by_exits(fr, mode=mode).components == (report,)
+
+    def test_reads_no_recall_state(self, monkeypatch):
+        env, proto = build_card_game(4, 2)
+        fr = generate_frame(env, proto, 3)
+        calls = []
+        monkeypatch.setattr(broadcast, "perfect_recall_state", lambda *args: calls.append(args))
+        for mode in ("hypercube", "full"):
+            assert verify_hypercube_decomposition(fr, mode=mode).ok
+        assert calls == []
 
     def test_agent_counts_differ(self):
         # every component passes the product checks, then the counts are compared

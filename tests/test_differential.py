@@ -13,7 +13,9 @@ import pytest
 from s5wd import broadcast, kripke
 from s5wd.broadcast import (
     EPSILON,
+    AgentProtocol,
     BroadcastEnvironment,
+    JointProtocol,
     build_card_game,
     environment_from_json,
     environment_to_json,
@@ -100,6 +102,7 @@ from helpers import (
     frame_by_label_pairs,
     frame_to_full_system_by_tables,
     frame_to_hypercube_by_product,
+    generate_frame_by_traces,
     glued_card_frame,
     homogeneous_by_pools,
     is_full_by_product,
@@ -543,16 +546,126 @@ def broken_and_whole_card_frames():
     yield glued_card_frame()
 
 
+PLAY = (EPSILON, "p", "q")
+
+
+def _trace(first, *privs) -> tuple:
+    """A trace whose first state carries the external action first and every
+    later state PLAY, with the private-state tuples privs."""
+    return ((first, privs[0]), *((PLAY, priv) for priv in privs[1:]))
+
+
+def _labelled(traces: list):
+    """n = 2 frames on traces whose agents relate by recall states, by private
+    states alone, and all at once; a private state missing from a narrow
+    state reads None."""
+    def recall(i, tr):
+        return tuple((s[0], s[1][i] if i < len(s[1]) else None) for s in tr)
+
+    def private(i, tr):
+        return tuple(s[1][i] if i < len(s[1]) else None for s in tr)
+
+    for label in (recall, private, lambda i, tr: 0):
+        yield frame_from_labels(2, traces, label)
+
+
+def hand_built_trace_frames():
+    """Trace frames no environment generates, on the edges of the recall map."""
+    blank, other = (EPSILON,) * 3, ("x", EPSILON, EPSILON)
+    ab = list(itertools.product("ab", repeat=2))
+    # members alike but for the first state's external action
+    twins = [_trace(first, ("e", *p), ("e", *p)) for first in (blank, other) for p in ab]
+    for traces in (twins, twins[:-1], twins[1:6], twins[::2]):
+        yield from _labelled(traces)
+    # later actions equal as values but not in type: a witness keeps the
+    # actions of the member it takes each recall state from
+    yield from _labelled([((blank, ("e", p, q)), ((EPSILON, act, "q"), ("e", p, q)))
+                          for p, q, act in (("a", "x", 1), ("b", "y", True), ("c", "x", 1))])
+    # later private-state tuples wider than the first, and (they share the
+    # first one's recall tuple) whole traces wider than the first member
+    wide = [_trace(blank, ("e", *p), ("e", *p, w)) for p in ab for w in "uv"]
+    wider = [_trace(blank, ("e", *p, "z"), ("e", *p, "z")) for p in ab]
+    for traces in (wide, wide[::2], wide[:3] + wider, wide[::2] + wider[1:]):
+        yield from _labelled(traces)
+    # a later state narrower than the first, or a member narrower than the first member
+    yield from _labelled([*wide[::2], _trace(blank, ("e", "a", "b"), ("e", "a"))])
+    yield from _labelled([*wide[::2], _trace(blank, ("e", "a"), ("e", "a"))])
+    # private states of mixed types, with some combinations left out
+    values = ("a", 1, None, frozenset({"x"}), frozenset())
+    mixed = [_trace(blank, (p0, p1, p2), (p0, p1, p2))
+             for p0 in ("e", 0) for p1 in values[:3] for p2 in values[2:]]
+    # the holes come first in world_key order, not in the order of values
+    holes = [tr for tr in mixed if tr[0][1][1:] not in (("a", None), ("a", frozenset()))]
+    for traces in (mixed, holes, [tr[:1] for tr in mixed[1::2]]):
+        yield from _labelled(traces)
+    # successor tables whose equal sets are distinct objects, whole and
+    # with one set cut down
+    for deck, hand, depth in ((3, 1, 2), (4, 2, 2)):
+        env, proto = build_card_game(deck, hand)
+        fr = generate_frame(env, proto, depth)
+        succ = tuple({w: frozenset(list(s)) for w, s in table.items()} for table in fr._succ)
+        yield Frame(fr.n, fr.worlds, kripke._Tables(succ, True))
+        w = next(w for w in fr.worlds if len(succ[1][w]) > 2)
+        succ[1][w] = frozenset(list(succ[1][w])[:-1]) | {w}
+        yield Frame(fr.n, fr.worlds, kripke._Tables(succ, True))
+
+
+def _verified(verify, fr: Frame, mode: str) -> tuple:
+    """verify's report with each witness's world_key text, or its error."""
+    try:
+        report = verify(fr, mode=mode)
+    except ValueError as err:
+        return type(err), str(err)
+    return report, [world_key(c.witness) for c in report.components]
+
+
 def test_decomposition_matches_one_exit_per_check():
     frames = [*broken_and_whole_card_frames(),
-              *(random_depth_one_frame(random.Random(seed)) for seed in SEEDS)]
-    reasons = set()
+              *(random_depth_one_frame(random.Random(seed)) for seed in SEEDS),
+              *hand_built_trace_frames()]
+    reasons, errors = set(), set()
     for fr in frames:
         for mode in ("hypercube", "full"):
-            report = verify_hypercube_decomposition(fr, mode=mode)
-            assert report == verify_hypercube_decomposition_by_exits(fr, mode=mode)
-            reasons.update(c.reason for c in report.components)
+            outcome = _verified(verify_hypercube_decomposition, fr, mode)
+            assert outcome == _verified(verify_hypercube_decomposition_by_exits, fr, mode)
+            if isinstance(outcome[0], type):
+                errors.add(outcome[0].__name__)
+            else:
+                reasons.update(c.reason for c in outcome[0].components)
     assert reasons == {None, "action-mismatch", "missing-tuple", "not-full", "not-isomorphic"}
+    assert errors == {"ValueError", "AgentIndexError"}
+
+
+def test_generate_frame_matches_per_trace_actions():
+    # every other environment gets an agent protocol that enables an unknown
+    # action, or none at all, at one observation
+    errors = set()
+    for seed in range(60):
+        env, proto = random_broadcast_environment(random.Random(seed))
+        rng = random.Random(2000 + seed)
+        if seed % 2:
+            agents = list(proto.agents)
+            i = rng.randrange(len(agents))
+            table = dict(agents[i].table)
+            obs = rng.choice(sorted(table, key=world_key))
+            if rng.random() < 0.5:
+                table[obs] += (("zz", EPSILON),)
+            elif len(table) > 1:
+                del table[obs]
+            agents[i] = AgentProtocol("table", table)
+            proto = JointProtocol(tuple(agents))
+        for depth in (1, 2, 3):
+            try:
+                outcome = generate_frame(env, proto, depth)
+            except ValueError as err:
+                outcome = str(err)
+                errors.add(outcome.split(" ")[1])
+            try:
+                expected = generate_frame_by_traces(env, proto, depth)
+            except ValueError as err:
+                expected = str(err)
+            assert outcome == expected
+    assert errors == {"action", "undefined"}
 
 
 def test_random_environments_decompose():

@@ -94,12 +94,35 @@ class TestFrameConstruction:
         ([1], (True, 1)),
         ([1], (1, 1.0)),
         ([0, "a"], (False, "a")),
+        ([(1, 0)], ((True, 0), (1, 0))),
+        ([(1, 0), "a"], ("a", (1.0, 0))),
+        ([frozenset({1})], (frozenset({1}), frozenset({True}))),
     ])
     def test_pair_member_of_another_type(self, worlds, pair):
-        # true, false and 1.0 equal the worlds 1, 0 and 1 but are none of them
+        # true, false and 1.0 equal the worlds 1, 0 and 1 but are none of
+        # them, and a tuple or set naming a world must have its world_key text
         with pytest.raises(ValueError) as err:
             Frame(1, worlds, [[pair]])
         assert str(err.value) == f"relation pair {pair!r} references an unknown world"
+
+    @pytest.mark.parametrize("worlds, blocks, member", [
+        ([1], [[True]], True),
+        ([(1, 0)], [[(True, 0)]], (True, 0)),
+        ([(1, 0), "a"], [["a"], [(1.0, 0)]], (1.0, 0)),
+    ])
+    def test_block_member_of_another_type(self, worlds, blocks, member):
+        with pytest.raises(ValueError) as err:
+            frame_from_partitions(1, worlds, [blocks])
+        assert str(err.value) == f"partition block names an unknown world {member!r}"
+
+    def test_members_equal_to_their_worlds_by_text(self):
+        # a member that is not the world itself names it by its world_key text
+        world = (1, ("a", frozenset({2, 3})))
+        twin = tuple([1, tuple(["a", frozenset([3, 2])])])
+        assert twin is not world
+        fr = Frame(1, [world, "b"], [[(twin, "b"), ("b", twin)]])
+        assert fr.succ(1, world) == {"b"} and fr.succ(1, "b") == {world}
+        assert frame_from_partitions(1, [world, "b"], [[[twin, "b"]]]).succ(1, world) == {world, "b"}
 
     def test_pair_members_of_their_worlds_types(self):
         fr = Frame(1, [True, 1.5, "a"], [[(True, 1.5), (1.5, "a")]])

@@ -42,18 +42,6 @@ EPSILON = "eps"
 BUILTIN_PROTOCOLS = ("pass", "play-any-card")
 
 
-def _encode(value):
-    """JSON-ready tagged form of a state/action component; invertible."""
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        # member order is _key order, so _key(value) == json.dumps of this
-        return {"set": [_encode(v) for v in _sorted_tuple(value)]}
-    raise TypeError(f"value is not serializable: {value!r}")
-
-
 def _decode(value):
     if value is None or isinstance(value, (str, int, bool)):
         return value
@@ -64,8 +52,14 @@ def _decode(value):
     raise ValueError(f"cannot decode value: {value!r}")
 
 
-# canonical key of a value: json.dumps(_encode(value)), compact, written directly
-_key = _json_encoder((tuple,), '{"set":[%s]}')
+_key = _json_encoder((tuple,), '{"set":[%s]}')  # a tuple as an array, a set as {"set": members}
+
+
+def _encode(value):
+    """JSON-ready tagged form of a value, the parse of its _key text; invertible."""
+    if value is None or isinstance(value, (str, int, bool)):
+        return value
+    return json.loads(_key(value))
 
 
 def _sorted_tuple(values) -> tuple:
@@ -265,7 +259,13 @@ class AgentProtocol:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
 
         def entry(obs, actions):
-            acts = _sorted_tuple(set(map(tuple, actions)))
+            acts = set()
+            for action in actions:
+                if not isinstance(action, (tuple, list)) or len(action) != 2:
+                    raise ValueError(f"action {_text(action):.80} for observation "
+                                     f"{_text(obs):.80} in a protocol table is not a pair")
+                acts.add(tuple(action))
+            acts = _sorted_tuple(acts)
             if not acts:
                 raise ValueError("protocol action sets must be nonempty")
             return _table_key(obs, (True, False), "a protocol table",
@@ -655,13 +655,14 @@ def env_from_hypercube(h: GlobalStateSystem, val) -> BroadcastEnvironment:
     )
 
 
-def _json_table(table, value) -> dict:
-    """table as a JSON object, keyed by _key texts in order, each value as value(v)."""
-    return dict(sorted((_key(k), value(v)) for k, v in table.items()))
+def _json_table(table) -> dict:
+    """table as a JSON object keyed by _key texts in order, the values encoded at once."""
+    texts = dict(sorted(zip(map(_key, table), table.values())))
+    return dict(zip(texts, _encode(tuple(texts.values()))))
 
 
 def _json_alphabets(alphabets) -> list:
-    return [None if a is None else [_encode(v) for v in _sorted_tuple(a)] for a in alphabets]
+    return [None if a is None else _encode(a)["set"] for a in alphabets]
 
 
 def environment_to_json(e: BroadcastEnvironment) -> dict:
@@ -670,15 +671,15 @@ def environment_to_json(e: BroadcastEnvironment) -> dict:
         "external_actions": _json_alphabets(e.external_actions),
         "internal_actions": _json_alphabets(e.internal_actions),
         "private_states": _json_alphabets(e.private_states),
-        "valuation": _json_table(e.valuation, list),
+        "valuation": _json_table(e.valuation),
     }
     if e.initial_private is not None:
         data["initial_private"] = _json_alphabets(e.initial_private)
     else:
-        data["initial_states"] = [_encode(s) for s in e.initial_states]
-    data["env_protocol"] = None if e.env_protocol is None else _json_table(e.env_protocol, _encode)
+        data["initial_states"] = _encode(e.initial_states)
+    data["env_protocol"] = None if e.env_protocol is None else _json_table(e.env_protocol)
     data["transitions"] = None if e.transitions is None else [
-        _json_table(table, _encode) for table in e.transitions
+        _json_table(table) for table in e.transitions
     ]
     return data
 
@@ -753,7 +754,7 @@ def environment_from_json(data: Mapping) -> BroadcastEnvironment:
 
 def protocol_to_json(p: JointProtocol) -> dict:
     return {"agents": [
-        {"kind": "table", "table": _json_table(entry.table, _encode)}
+        {"kind": "table", "table": _json_table(entry.table)}
         if entry.kind == "table" else {"kind": entry.kind}
         for entry in p.agents
     ]}

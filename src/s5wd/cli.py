@@ -74,8 +74,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
+    """The JSON value in the file at path; a file that is not UTF-8 JSON text
+    raises a ValueError naming path."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.loads(handle.read())
+        try:
+            return json.loads(handle.read())
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise ValueError(f"file {path!r} is not UTF-8 JSON: {exc}") from None
 
 
 def _load_frame_or_model(path: str):
@@ -316,18 +321,25 @@ def _cmd_decide(args) -> int:
 
 
 def _parse_card_game(text: str, max_worlds: int):
-    settings = {"deck": None, "hand": None, "modeling": "simple"}
+    """The game that comma-separated key=value settings name: deck and hand,
+    each an ASCII natural number, and modeling, each at most once."""
+    settings = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in settings:
+        if key not in ("deck", "hand", "modeling"):
             raise ValueError(f"unknown card game setting {key!r}")
+        if key in settings:
+            raise ValueError(f"card game setting {key!r} is given twice")
         settings[key] = value.strip()
-    if settings["deck"] is None or settings["hand"] is None:
+    if "deck" not in settings or "hand" not in settings:
         raise ValueError("card game settings need deck=<int>,hand=<int>")
-    return bc.build_card_game(
-        int(settings["deck"]), int(settings["hand"]), settings["modeling"], max_worlds=max_worlds
-    )
+    for key in ("deck", "hand"):
+        if not (settings[key].isascii() and settings[key].isdigit()):
+            raise ValueError(f"card game setting {key!r} is not a natural number: "
+                             f"{settings[key]!r}")
+    return bc.build_card_game(int(settings["deck"]), int(settings["hand"]),
+                              settings.get("modeling", "simple"), max_worlds=max_worlds)
 
 
 def _cmd_broadcast_simulate(args) -> int:

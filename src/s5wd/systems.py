@@ -205,25 +205,47 @@ def system_to_json(s: GlobalStateSystem) -> dict:
     }
 
 
+def _distinct_texts(column, where: str) -> None:
+    """Refuse two symbols of column that are equal but written differently
+    (1 and true) or written alike but unequal (1 and "1"), as a document names
+    a symbol by its world_key text; a string is its own text."""
+    if {str}.issuperset(map(type, column)):
+        return
+    firsts, owners = {}, {}  # first symbol and text of each value; symbol of each text
+    for x in column:
+        text = world_key(x)
+        first, first_text = firsts.setdefault(x, (x, text))
+        if first_text != text:
+            raise ValueError(f"symbols {first!r} and {x!r} in {where} are equal")
+        owner = owners.setdefault(text, x)
+        if owner != x:
+            raise ValueError(f"symbols {owner!r} and {x!r} in {where} share the text {text!r}")
+
+
 def system_from_json(data: Mapping) -> GlobalStateSystem:
     """Load a system from its JSON dict form.  A missing required field or a
-    field of the wrong JSON type raises a ValueError naming it."""
+    field of the wrong JSON type raises a ValueError naming it, and so do two
+    symbols of one column (env with state component 0, or agent i's alphabet
+    with component i) that are equal but written differently, or the reverse."""
 
     def field(name):
         return _json_field(data, name, "system JSON")
 
-    return GlobalStateSystem(
-        _json_int(field("n"), "'n'"),
-        _symbols(field("env"), "env"),
-        tuple(
-            _symbols(alphabet, f"the agent {i} alphabet")
-            for i, alphabet in enumerate(_json_list(field("locals"), "'locals'"), 1)
-        ),
-        tuple(
-            _symbols(state, f"state {k}")
-            for k, state in enumerate(_json_list(field("states"), "'states'"))
-        ),
+    n = _json_int(field("n"), "'n'")
+    env = _symbols(field("env"), "env")
+    locals_ = tuple(
+        _symbols(alphabet, f"the agent {i} alphabet")
+        for i, alphabet in enumerate(_json_list(field("locals"), "'locals'"), 1)
     )
+    states = tuple(
+        _symbols(state, f"state {k}")
+        for k, state in enumerate(_json_list(field("states"), "'states'"))
+    )
+    columns = tuple(zip(*states))  # if the states are ragged, the system refuses them
+    for c, alphabet in enumerate((env, *locals_)):
+        _distinct_texts(alphabet + (columns[c] if c < len(columns) else ()),
+                        f"the agent {c} column" if c else "the environment column")
+    return GlobalStateSystem(n, env, locals_, states)
 
 
 def interpreted_to_json(isys: InterpretedSystem) -> dict:

@@ -1155,8 +1155,8 @@ def find_isomorphism_by_lists(a, b, *, max_worlds: int = 12):
     return WorldMap(a, b, dict(assignment))
 
 
-def _compact(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
+# json.dumps(value, separators=(",", ":")) without building an encoder per call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _tagged(value):
@@ -1190,6 +1190,51 @@ def _plain(value):
 def key_by_json_dumps(value) -> str:
     """broadcast._key by building the tagged object and serializing it."""
     return _compact(_tagged(value))
+
+
+def _table_by_json_dumps(table) -> dict:
+    """A broadcast table as a JSON object: keys as key_by_json_dumps texts,
+    in text order, and values tagged."""
+    texts = {key_by_json_dumps(k): k for k in table}
+    return {text: _tagged(table[texts[text]]) for text in sorted(texts)}
+
+
+def environment_json_by_tagged(e) -> dict:
+    """environment_to_json built from _tagged objects, fields in the order
+    the writer gives them, each alphabet a list sorted by member text."""
+    def alphabets(entries):
+        return [None if a is None else sorted(map(_tagged, a), key=_compact) for a in entries]
+
+    data = {"n": e.n, "external_actions": alphabets(e.external_actions),
+            "internal_actions": alphabets(e.internal_actions),
+            "private_states": alphabets(e.private_states),
+            "valuation": _table_by_json_dumps(e.valuation)}
+    if e.initial_private is not None:
+        data["initial_private"] = alphabets(e.initial_private)
+    else:
+        data["initial_states"] = [_tagged(s) for s in e.initial_states]
+    data["env_protocol"] = None if e.env_protocol is None else _table_by_json_dumps(e.env_protocol)
+    data["transitions"] = None if e.transitions is None else [
+        _table_by_json_dumps(table) for table in e.transitions
+    ]
+    return data
+
+
+def protocol_json_by_tagged(p) -> dict:
+    """protocol_to_json built from _tagged objects."""
+    return {"agents": [
+        {"kind": "table", "table": _table_by_json_dumps(a.table)} if a.kind == "table"
+        else {"kind": a.kind}
+        for a in p.agents
+    ]}
+
+
+def assert_written_as_tagged(env, proto, env_json: dict, proto_json: dict) -> None:
+    """env_json and proto_json, the writers' documents for env and proto,
+    dump without sort_keys, so that key order counts, to the text of the
+    documents built from _tagged objects."""
+    assert json.dumps(env_json) == json.dumps(environment_json_by_tagged(env))
+    assert json.dumps(proto_json) == json.dumps(protocol_json_by_tagged(proto))
 
 
 def world_key_by_json_dumps(w) -> str:

@@ -332,6 +332,23 @@ class TestProtocols:
         with pytest.raises(ValueError, match="undefined"):
             p.enabled(((EPSILON, EPSILON), "on"))
 
+    @pytest.mark.parametrize("action, text", [
+        ("ab", '"ab"'), (("a", "b", "c"), '["a","b","c"]'), (("a",), '["a"]'),
+        (["a", "b", "c"], "['a', 'b', 'c']"), (5, "5"), (None, "null"),
+    ])
+    def test_table_actions_are_pairs(self, action, text):
+        obs = ((EPSILON, EPSILON), "x")
+        with pytest.raises(ValueError) as info:
+            AgentProtocol("table", {obs: [(EPSILON, EPSILON), action]})
+        assert str(info.value) == (
+            f'action {text} for observation [["eps","eps"],"x"] in a protocol table is not a pair'
+        )
+
+    def test_table_action_pair_as_a_list(self):
+        obs = ((EPSILON, EPSILON), "x")
+        p = AgentProtocol("table", {obs: [["b", EPSILON], ("a", EPSILON), ["a", EPSILON]]})
+        assert p.table == {obs: (("a", EPSILON), ("b", EPSILON))}
+
     def test_protocol_validation(self):
         with pytest.raises(ValueError, match="unknown protocol kind"):
             AgentProtocol("wait")
@@ -452,6 +469,14 @@ class TestTableEnvironmentProtocol:
     def test_empty_action_set(self):
         with pytest.raises(ValueError, match="nonempty"):
             clock_env(env_protocol={(BLANK2, "idle"): []})
+
+    def test_environment_action_that_is_not_a_pair(self):
+        # refused as the table is read, before any action is looked up
+        with pytest.raises(ValueError) as info:
+            clock_env(env_protocol={(BLANK2, "idle"): ["ab"]})
+        assert str(info.value) == (
+            'action "ab" for observation [["eps","eps"],"idle"] in a protocol table is not a pair'
+        )
 
     def test_generate_frame(self):
         e = clock_env()

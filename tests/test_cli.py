@@ -326,6 +326,13 @@ def test_map_value_that_is_not_a_world_key(capsys, tmp_path, value):
     ([SYSTEM], "system JSON is not an object: [{'n': 1,"),
     (dict(SYSTEM, locals="a"), "'locals' is not a list: 'a'"),
     (dict(SYSTEM, states={"e": "a"}), "'states' is not a list: {'e': 'a'}"),
+    # symbols are told apart by their text, column by column
+    (dict(SYSTEM, locals=[[1, True]], states=[["e", 1], ["e", True]]),
+     "symbols 1 and True in the agent 1 column are equal"),
+    (dict(SYSTEM, env=[1, True], locals=[["a", "b"]], states=[[1, "a"], [True, "b"]]),
+     "symbols 1 and True in the environment column are equal"),
+    (dict(SYSTEM, locals=[[1, "1"]], states=[["e", 1], ["e", "1"]]),
+     "symbols 1 and '1' in the agent 1 column share the text '1'"),
 ])
 def test_malformed_system_json(capsys, tmp_path, data, message):
     path = tmp_path / "sys.json"
@@ -333,6 +340,19 @@ def test_malformed_system_json(capsys, tmp_path, data, message):
     code, out, err = run(capsys, ["f-map", "--system", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"n": 1,', "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["empty", "truncated", "not-utf-8"])
+def test_file_that_is_not_json_is_named(capsys, tmp_path, content, reason):
+    path = tmp_path / "frame.json"
+    path.write_bytes(content)
+    assert run(capsys, ["unpack", "--frame", str(path)]) == (
+        1, "", f"error: file {str(path)!r} is not UTF-8 JSON: {reason}\n"
+    )
 
 
 FRAME = {"n": 1, "worlds": ["a"], "relations": {"1": [["a", "a"]]}}
@@ -925,6 +945,23 @@ class TestBroadcast:
         assert code == 1
         assert "unknown card game setting" in err
 
+    @pytest.mark.parametrize("settings, message", [
+        ("deck=x,hand=1", "card game setting 'deck' is not a natural number: 'x'"),
+        ("deck=3,hand=", "card game setting 'hand' is not a natural number: ''"),
+        ("deck=3,hand=-1", "card game setting 'hand' is not a natural number: '-1'"),
+        ("deck=\u0663,hand=1", "card game setting 'deck' is not a natural number: '\u0663'"),
+        ("deck=1_0,hand=1", "card game setting 'deck' is not a natural number: '1_0'"),
+        ("deck=3,hand=1,deck=4", "card game setting 'deck' is given twice"),
+        ("modeling=rich,deck=3,hand=1,modeling=rich", "card game setting 'modeling' is given twice"),
+    ])
+    def test_card_game_settings_read_exactly(self, capsys, settings, message):
+        argv = ["broadcast", "simulate", "--card-game", settings, "--depth", "1"]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    def test_card_game_settings_may_be_spaced(self, capsys):
+        argv = ["broadcast", "simulate", "--card-game", " deck = 3 , hand = 1 ", "--depth", "1"]
+        assert run(capsys, argv) == run(capsys, argv[:3] + ["deck=3,hand=1"] + argv[4:])
+
     def test_budget_exits_one(self, capsys):
         code, _, err = run(
             capsys,
@@ -1003,8 +1040,8 @@ def test_commands_run_with_the_collector_paused(capsys, monkeypatch, corner_file
         assert gc.isenabled() == enabled
         assert states[:2] == [False, False]
         assert run(capsys, ["frame-props", "--frame", str(bad)]) == (
-            1, "", "error: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n")
+            1, "", f"error: file {str(bad)!r} is not UTF-8 JSON: Expecting property name"
+            " enclosed in double quotes: line 1 column 2 (char 1)\n")
         assert gc.isenabled() == enabled
         assert run(capsys, unknown)[0] == 2
         assert gc.isenabled() == enabled

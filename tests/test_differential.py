@@ -84,6 +84,7 @@ from s5wd.systems import (
 )
 from s5wd.unpack import cluster_decomposition
 from helpers import (
+    assert_written_as_tagged,
     build_card_game_by_full_states,
     check_d_by_product,
     check_suitable_by_pairs,
@@ -531,7 +532,9 @@ def test_card_game_matches_full_state_closure():
         for field in dataclasses.fields(env):
             assert getattr(env, field.name) == getattr(oracle, field.name)
         assert (env, proto) == (oracle, oracle_proto)
-        assert environment_to_json(env) == environment_to_json(oracle)
+        written = environment_to_json(env)
+        assert written == environment_to_json(oracle)
+        assert_written_as_tagged(env, proto, written, protocol_to_json(proto))
 
 
 def broken_and_whole_card_frames():
@@ -681,6 +684,7 @@ def test_random_environments_decompose():
         tables = [env_json["valuation"], env_json["env_protocol"] or {}, *env_json["transitions"],
                   *(agent["table"] for agent in proto_json["agents"])]
         assert all(list(table) == sorted(table) for table in tables)
+        assert_written_as_tagged(env, proto, env_json, proto_json)
         homogeneous += env.homogeneous
         for depth in (1, 2, 3):
             fr = generate_frame(env, proto, depth)

@@ -313,6 +313,37 @@ class TestJson:
         with pytest.raises(ValueError, match="state 0 is not a list: '1ac'"):
             system_from_json(dict(data, states=["1ac"]))
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n": 1, "env": ["e"], "locals": [[1, True]], "states": [["e", 1], ["e", True]]},
+         "symbols 1 and True in the agent 1 column are equal"),
+        ({"n": 1, "env": [1, True], "locals": [["a", "b"]], "states": [[1, "a"], [True, "b"]]},
+         "symbols 1 and True in the environment column are equal"),
+        ({"n": 1, "env": ["e"], "locals": [[1, "1"]], "states": [["e", 1], ["e", "1"]]},
+         "symbols 1 and '1' in the agent 1 column share the text '1'"),
+        # a state component counts with its column's alphabet
+        ({"n": 1, "env": ["e"], "locals": [[0]], "states": [["e", 0], ["e", False]]},
+         "symbols 0 and False in the agent 1 column are equal"),
+        ({"n": 2, "env": ["e"], "locals": [["a"], ["null"]], "states": [["e", "a", None]]},
+         "symbols 'null' and None in the agent 2 column share the text 'null'"),
+        # columns are read up to the shortest state, and a ragged system is refused
+        ({"n": 1, "env": ["e"], "locals": [[1]], "states": [["e"], ["e", True]]},
+         "state ('e',) is not an 2-tuple"),
+    ], ids=["equal-locals", "equal-env", "same-text", "equal-in-state", "same-text-in-state",
+            "ragged"])
+    def test_symbols_told_apart_by_text(self, data, message):
+        with pytest.raises(ValueError) as info:
+            system_from_json(data)
+        assert str(info.value) == message
+
+    def test_columns_are_independent(self):
+        # 1, true and "1" in different columns each keep their own value and text
+        data = {"n": 2, "env": [1], "locals": [["1"], [True]], "states": [[1, "1", True]]}
+        s = system_from_json(data)
+        assert s.states == ((1, "1", True),)
+        assert system_to_json(s) == {
+            "n": 2, "env": ["1"], "locals": [["1"], ["true"]], "states": [["1", "1", "true"]]
+        }
+
     def test_class_label(self):
         assert class_label(("w0", "w1")) == "{w0|w1}"
         assert class_label(((0, "w0"),)) == '{[0,"w0"]}'
